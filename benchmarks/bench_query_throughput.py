@@ -6,7 +6,7 @@ the scale-free shape of the paper's datasets) for:
 * ``dist_query`` looped one pair at a time — list backend and frozen
   flat backend;
 * ``batch_dist_query`` — the vectorized join over the flat arrays, once
-  per available kernel tier (pure numpy always; the compiled numba/cext
+  per available kernel tier (pure numpy always; the compiled cext
   hub-join when available — the headline ``label_queries`` /
   ``sief_queries`` entries are the accelerated tier, the numpy-tier
   reference lands under ``*_numpy``);
@@ -105,13 +105,14 @@ def bench_label_queries(listed, frozen, pairs: np.ndarray, scalar_count: int):
     }
 
 
-def bench_sief_queries(graph, listed, frozen, num_edges: int, count: int):
+def bench_sief_queries(graph, frozen, num_edges: int, count: int):
     """Engine scalar loop vs engine batch on sampled failure cases."""
     rng = random.Random(WORKLOAD_SEED + 1)
     edges = sorted(graph.edges())
     sample = rng.sample(edges, min(num_edges, len(edges)))
-    index, _ = SIEFBuilder(graph, listed).build(edges=sample)
-    index.labeling = frozen
+    # Build over the frozen copy: the batched relabel freezes its
+    # labeling in place, and ``listed`` must stay on the list backend.
+    index, _ = SIEFBuilder(graph, frozen).build(edges=sample)
     index.freeze()
     engine = SIEFQueryEngine(index)
 
@@ -218,9 +219,7 @@ def _run_impl(vertices: int, attach: int, queries: int, sief_edges: int, out: Pa
     for tier in tiers:
         with kernels.use_tier(tier):
             label = bench_label_queries(listed, frozen, pairs, scalar_count)
-            sief = bench_sief_queries(
-                graph, listed, frozen, sief_edges, queries
-            )
+            sief = bench_sief_queries(graph, frozen, sief_edges, queries)
         label_by_tier[tier] = label
         sief_by_tier[tier] = sief
         print(

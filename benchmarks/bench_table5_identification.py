@@ -24,7 +24,7 @@ def test_identification_sample(benchmark, context, name):
     ctx = context(name)
     edges = list(ctx.graph.edges())
     sample = random.Random(2).sample(edges, min(50, len(edges)))
-    builder = SIEFBuilder(ctx.graph, ctx.labeling)
+    builder = SIEFBuilder(ctx.graph, ctx.labeling, algorithm="bfs_all")
 
     def run():
         for u, v in sample:

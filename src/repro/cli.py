@@ -5,7 +5,7 @@ Installed as ``sief`` (see pyproject) and runnable as ``python -m repro``.
 Examples::
 
     sief generate --dataset gnutella -o gnutella.txt
-    sief build gnutella.txt -o gnutella.sief --algorithm bfs_all
+    sief build gnutella.txt -o gnutella.sief
     sief query gnutella.sief --fail 3 17 --pair 0 42
     sief path gnutella.txt gnutella.sief --fail 3 17 --pair 0 42
     sief impact gnutella.txt gnutella.sief --top 10
@@ -40,22 +40,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_algorithm(args: argparse.Namespace) -> str:
-    """Combine ``--algorithm`` with the ``--batched``/``--no-batched`` pair.
-
-    ``--batched`` selects the bit-parallel construction path regardless
-    of ``--algorithm``; ``--no-batched`` forces a scalar path (falling
-    back to ``bfs_all`` when ``--algorithm batched`` was also given).
-    With neither flag, ``--algorithm`` stands as written.
-    """
-    if getattr(args, "batched", None) is True:
-        return "batched"
-    algorithm = args.algorithm
-    if getattr(args, "batched", None) is False and algorithm == "batched":
-        return "bfs_all"
-    return algorithm
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
     import contextlib
 
@@ -73,7 +57,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"PLL labeling: {labeling.total_entries()} entries "
         f"in {time.perf_counter() - started:.2f}s"
     )
-    algorithm = _resolve_algorithm(args)
+    algorithm = args.algorithm
     prog = None
     if getattr(args, "progress", False):
         from repro.obs import ProgressReporter
@@ -341,7 +325,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     profiler = None
     if args.profile or args.folded_out:
         profiler = SpanProfiler(recorder, interval=args.profile_interval)
-    algorithm = _resolve_algorithm(args)
+    algorithm = args.algorithm
     with installed(registry, recorder, profile=profiler):
         if profiler is not None:
             profiler.start()
@@ -580,8 +564,6 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     for tier, info in report.get("backends", {}).items():
         status = "available" if info.get("available") else "unavailable"
         detail_keys = (
-            "numba_version",
-            "llvmlite_version",
             "numpy_version",
             "compiler",
             "library",
@@ -786,20 +768,6 @@ def _add_build_path_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes for the build (1 = in-process serial)",
     )
-    batched = parser.add_mutually_exclusive_group()
-    batched.add_argument(
-        "--batched",
-        dest="batched",
-        action="store_true",
-        default=None,
-        help="use the bit-parallel batched relabel (overrides --algorithm)",
-    )
-    batched.add_argument(
-        "--no-batched",
-        dest="batched",
-        action="store_false",
-        help="force a scalar relabel even if --algorithm batched was given",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -810,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernels",
-        choices=["auto", "numpy", "numba", "cext"],
+        choices=["auto", "numpy", "cext"],
         default=None,
         help=(
             "kernel tier for the hot loops (default: $SIEF_KERNELS or "
@@ -831,7 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--algorithm",
         choices=["bfs_aff", "bfs_all", "batched"],
-        default="bfs_all",
+        default="batched",
+        help="relabel algorithm (default: batched; bfs_aff and bfs_all "
+        "are the paper's reference algorithms)",
     )
     build.add_argument("--ordering", default="degree")
     build.add_argument(
@@ -1169,7 +1139,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--algorithm",
         choices=["bfs_aff", "bfs_all", "batched"],
-        default="bfs_all",
+        default="batched",
     )
     _add_build_path_flags(metrics)
     metrics.set_defaults(func=_cmd_metrics)

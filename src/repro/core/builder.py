@@ -193,14 +193,17 @@ class SIEFBuilder:
         Optional prebuilt well-ordered 2-hop cover; built with PLL
         (degree ordering) when omitted.
     algorithm:
-        ``"bfs_all"`` (default, the paper's fastest) or ``"bfs_aff"``.
+        A key of :data:`RELABEL_ALGORITHMS`: ``"batched"`` (default, the
+        bit-parallel production path) or one of the paper's reference
+        algorithms ``"bfs_all"`` / ``"bfs_aff"`` (Algorithms 3 and 2),
+        which build bit-identical indexes.
     """
 
     def __init__(
         self,
         graph: Graph,
         labeling: Optional[Labeling] = None,
-        algorithm: str = "bfs_all",
+        algorithm: str = "batched",
     ) -> None:
         if algorithm not in RELABEL_ALGORITHMS:
             raise IndexError_(
@@ -363,7 +366,7 @@ class SIEFBuilder:
 def build_sief(
     graph: Graph,
     labeling: Optional[Labeling] = None,
-    algorithm: str = "bfs_all",
+    algorithm: str = "batched",
     edges: Optional[Sequence[Edge]] = None,
 ) -> SIEFIndex:
     """One-call convenience: PLL (if needed) + full SIEF build."""

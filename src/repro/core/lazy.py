@@ -52,14 +52,14 @@ class LazySIEFIndex:
     labeling:
         Optional prebuilt labeling; built with PLL otherwise.
     algorithm:
-        Relabel strategy for on-demand builds (default ``bfs_all``).
+        Relabel strategy for on-demand builds (default ``batched``).
     """
 
     def __init__(
         self,
         graph: Graph,
         labeling: Optional[Labeling] = None,
-        algorithm: str = "bfs_all",
+        algorithm: str = "batched",
     ) -> None:
         if algorithm not in RELABEL_ALGORITHMS:
             raise IndexError_(
@@ -101,13 +101,11 @@ class LazySIEFIndex:
         if self._index.has_case(u, v):
             self.cache_hits += 1
             if reg is not None:
-                reg.counter("sief.lazy.cache_hits").inc()
                 reg.counter("sief.lazy.cache.hits").inc()
             return
         if not self.graph.has_edge(u, v):
             raise EdgeNotFound(u, v)
         if reg is not None:
-            reg.counter("sief.lazy.cache_misses").inc()
             reg.counter("sief.lazy.cache.misses").inc()
         attribute_page_fault()
         with _obs.span("sief.lazy.build_case"):
@@ -120,7 +118,6 @@ class LazySIEFIndex:
             self.cases_built += 1
         if reg is not None:
             record_case_obs(reg, record)
-            reg.gauge("sief.lazy.cached_cases").set(self._index.num_cases)
             reg.gauge("sief.lazy.cache.resident").set(self._index.num_cases)
         prog = _obs.progress
         if prog is not None:
@@ -164,7 +161,6 @@ class LazySIEFIndex:
         self.build_seconds += time.perf_counter() - started
         self.cases_built = 0
         if reg is not None:
-            reg.gauge("sief.lazy.cached_cases").set(0)
             reg.gauge("sief.lazy.cache.resident").set(0)
 
     def _invalidate(self) -> None:
@@ -175,7 +171,6 @@ class LazySIEFIndex:
             dropped = len(self._index.supplements)
             if dropped:
                 reg.counter("sief.lazy.invalidated_cases").inc(dropped)
-            reg.gauge("sief.lazy.cached_cases").set(0)
             reg.gauge("sief.lazy.cache.resident").set(0)
         self._index.supplements.clear()
         self.cases_built = 0

@@ -6,19 +6,14 @@ full build parallelizes embarrassingly across processes.  The paper ran
 on a 32-core Xeon without exploiting this; in CPython (GIL) processes
 are the only way to.
 
-Two transport modes hand workers the (read-only) build inputs:
+The parent publishes the (read-only) build inputs once as a
+:mod:`repro.core.shm` arena — CSR arrays, frozen labeling arrays,
+ordering permutation — and each worker attaches zero-copy read-only
+views.  Startup cost is independent of index size; the parent
+guarantees ``close()``/``unlink()`` in a ``finally`` so no ``/dev/shm``
+segment survives success, a worker exception, or ``KeyboardInterrupt``.
 
-* **shared memory** (default when a pool is used): the parent publishes
-  one :mod:`repro.core.shm` arena — CSR arrays, frozen labeling arrays,
-  ordering permutation — and each worker attaches zero-copy read-only
-  views.  Startup cost is independent of index size; the parent
-  guarantees ``close()``/``unlink()`` in a ``finally`` so no ``/dev/shm``
-  segment survives success, a worker exception, or ``KeyboardInterrupt``.
-* **pickle** (``shared_memory=False``): the legacy one-time pickling of
-  the graph and labeling into the pool initializer; kept as the
-  reference transport for the three-way parity tests.
-
-Either way each worker returns its chunk's supplemental indexes, which
+Each worker returns its chunk's supplemental indexes, which
 the parent merges into a normal :class:`~repro.core.index.SIEFIndex` —
 bit-identical to a serial build (asserted in tests).
 """
@@ -33,6 +28,7 @@ from repro.core.builder import (
     RELABEL_ALGORITHMS,
     BuildReport,
     EdgeBuildRecord,
+    SIEFBuilder,
     build_one_case,
     record_case_obs,
 )
@@ -53,38 +49,18 @@ Edge = Tuple[int, int]
 _WORKER_SPAN_CAPACITY = 4096
 """Ring capacity of each worker chunk's private trace recorder."""
 
-# Worker-global state, installed once per process by an initializer.
+# Worker-global state, installed once per process by the initializer.
 _STATE: dict = {}
 
 
-def _init_worker(
-    graph: Graph,
-    labeling: Labeling,
-    algorithm: str,
-    obs: bool = False,
-    trace: bool = False,
-    profile: bool = False,
-) -> None:
-    """Legacy transport: inputs arrive pickled (or fork-copied)."""
-    _STATE.clear()
-    _STATE["graph"] = graph
-    _STATE["labeling"] = labeling
-    _STATE["algorithm"] = algorithm
-    _STATE["relabel"] = RELABEL_ALGORITHMS[algorithm]
-    _STATE["obs"] = obs
-    _STATE["trace"] = trace
-    _STATE["profile"] = profile
-    _STATE["csr"] = None
-
-
-def _init_worker_shm(
+def _attach_worker(
     spec: dict,
     algorithm: str,
     obs: bool = False,
     trace: bool = False,
     profile: bool = False,
 ) -> None:
-    """Shared-memory transport: attach read-only views from the spec."""
+    """Attach read-only views of the published build inputs."""
     _STATE.clear()
     arena, csr, labeling = attach_build_inputs(spec)
     _STATE["arena"] = arena  # keeps the mapping alive for the views
@@ -103,8 +79,8 @@ def _worker_graph() -> Graph:
     """The worker's Graph, rebuilding it from shared CSR on first use.
 
     Only the scalar relabel algorithms walk adjacency lists; the batched
-    algorithm runs straight off the shared CSR arrays, so shm workers
-    with ``algorithm="batched"`` never pay this materialization.
+    algorithm runs straight off the shared CSR arrays, so workers with
+    ``algorithm="batched"`` never pay this materialization.
     """
     graph = _STATE.get("graph")
     if graph is None:
@@ -141,11 +117,8 @@ def _build_chunk(edges: Sequence[Edge]):
     if chunk_reg is not None and _STATE.pop("attached", False):
         chunk_reg.counter("sief.shm.worker_attaches").inc()
     if _STATE["algorithm"] == "batched":
-        csr = _STATE.get("csr")
-        if csr is None:
-            csr = CSRGraph.from_graph(_STATE["graph"])
-            _STATE["csr"] = csr
-        graph = _STATE.get("graph")  # unused by the batched pipeline
+        csr = _STATE["csr"]
+        graph = None  # unused by the batched pipeline
     else:
         csr = None
         graph = _worker_graph()
@@ -205,19 +178,17 @@ def _chunks(items: List[Edge], count: int) -> List[List[Edge]]:
 def build_sief_parallel(
     graph: Graph,
     labeling: Optional[Labeling] = None,
-    algorithm: str = "bfs_all",
+    algorithm: str = "batched",
     workers: Optional[int] = None,
     edges: Optional[Sequence[Edge]] = None,
-    shared_memory: Optional[bool] = None,
 ) -> Tuple[SIEFIndex, BuildReport]:
     """Build a SIEF index using a pool of worker processes.
 
     Parameters mirror :class:`~repro.core.builder.SIEFBuilder` plus
-    ``workers`` (default: CPU count) and ``shared_memory`` (default:
-    use the shm transport whenever a pool is actually spawned; pass
-    ``False`` to force the legacy pickle transport).  With one worker
-    everything runs in-process (no pool), which keeps small builds and
-    tests cheap.
+    ``workers`` (default: CPU count).  With one worker, or fewer than
+    four edges, the build runs in-process through
+    :class:`~repro.core.builder.SIEFBuilder` (no pool), which keeps
+    small builds and tests cheap.
     """
     if algorithm not in RELABEL_ALGORITHMS:
         raise IndexError_(
@@ -232,6 +203,8 @@ def build_sief_parallel(
         edge_list = sorted(normalize_edge(*e) for e in edges)
     if workers is None:
         workers = multiprocessing.cpu_count()
+    if workers <= 1 or len(edge_list) < 4:
+        return SIEFBuilder(graph, labeling, algorithm).build(edge_list)
 
     index = SIEFIndex(labeling)
     records: List[EdgeBuildRecord] = []
@@ -239,81 +212,46 @@ def build_sief_parallel(
     parent_tracer = _obs.tracer
     parent_profiler = _obs.profiler
     obs_enabled = parent_reg is not None
-    use_pool = workers > 1 and len(edge_list) >= 4
-    if shared_memory is None:
-        shared_memory = use_pool
-    # Worker-side tracing/profiling only makes sense with a real pool:
-    # the in-process path already runs under the parent's hooks, so
-    # giving it a second tracer would double-record every case span.
-    trace_enabled = use_pool and parent_tracer is not None
+    trace_enabled = parent_tracer is not None
     profile_enabled = trace_enabled and parent_profiler is not None
 
-    def _drain(iterable):
-        """Collect chunk results, ticking live progress per chunk."""
-        prog = _obs.progress
-        results = []
-        for res in iterable:
-            if prog is not None:
-                prog.advance(len(res[0]))
-            results.append(res)
-        return results
-
     with _obs.span("sief.build.parallel"):
-        if not use_pool:
-            _init_worker(graph, labeling, algorithm, obs=obs_enabled)
-            results = _drain([_build_chunk(edge_list)])
-        else:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                ctx = multiprocessing.get_context("spawn")
-            chunks = _chunks(edge_list, workers * 4)
-            if shared_memory:
-                csr = CSRGraph.from_graph(graph)
-                labeling.freeze()
-                arena = publish_build_inputs(csr, labeling)
-                try:
-                    with ctx.Pool(
-                        processes=workers,
-                        initializer=_init_worker_shm,
-                        initargs=(
-                            arena.spec(),
-                            algorithm,
-                            obs_enabled,
-                            trace_enabled,
-                            profile_enabled,
-                        ),
-                    ) as pool:
-                        # imap_unordered so completed chunks surface as
-                        # they finish (live progress); merge order does
-                        # not matter — records are sorted below and the
-                        # metric merges are commutative.
-                        results = _drain(
-                            pool.imap_unordered(_build_chunk, chunks)
-                        )
-                finally:
-                    # Runs on success, worker exception, and
-                    # KeyboardInterrupt alike; the Pool context manager
-                    # has already terminated the children, so no worker
-                    # still maps the segment.
-                    arena.close()
-                    arena.unlink()
-            else:
-                with ctx.Pool(
-                    processes=workers,
-                    initializer=_init_worker,
-                    initargs=(
-                        graph,
-                        labeling,
-                        algorithm,
-                        obs_enabled,
-                        trace_enabled,
-                        profile_enabled,
-                    ),
-                ) as pool:
-                    results = _drain(
-                        pool.imap_unordered(_build_chunk, chunks)
-                    )
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            ctx = multiprocessing.get_context("spawn")
+        chunks = _chunks(edge_list, workers * 4)
+        csr = CSRGraph.from_graph(graph)
+        labeling.freeze()
+        arena = publish_build_inputs(csr, labeling)
+        try:
+            with ctx.Pool(
+                processes=workers,
+                initializer=_attach_worker,
+                initargs=(
+                    arena.spec(),
+                    algorithm,
+                    obs_enabled,
+                    trace_enabled,
+                    profile_enabled,
+                ),
+            ) as pool:
+                # imap_unordered so completed chunks surface as they
+                # finish (live progress); merge order does not matter —
+                # records are sorted below and the metric merges are
+                # commutative.
+                results = []
+                for res in pool.imap_unordered(_build_chunk, chunks):
+                    prog = _obs.progress
+                    if prog is not None:
+                        prog.advance(len(res[0]))
+                    results.append(res)
+        finally:
+            # Runs on success, worker exception, and KeyboardInterrupt
+            # alike; the Pool context manager has already terminated the
+            # children, so no worker still maps the segment.
+            arena.close()
+            arena.unlink()
 
         worker_spans: dict = {}
         for chunk, snapshot, obs_extra in results:

@@ -513,7 +513,6 @@ def build_sief_sharded(
                         algorithm,
                         workers=jobs,
                         edges=shard,
-                        shared_memory=True,
                     )
                 resident = shard_index.num_cases
                 max_resident = max(max_resident, resident)

@@ -79,7 +79,8 @@ class DatasetError(ReproError):
 class KernelTierError(ReproError):
     """An explicitly requested kernel tier is unknown or unavailable.
 
-    Raised only for *explicit* selections (``SIEF_KERNELS=numba``,
-    ``sief --kernels numba``) — the ``auto`` tier never raises, it falls
-    through to the next available backend and ultimately pure numpy.
+    Raised for unknown tier names and for *explicit* selections of an
+    unavailable tier (``SIEF_KERNELS=cext``, ``sief --kernels cext``
+    without a C compiler) — the ``auto`` tier never raises, it falls
+    back to pure numpy.
     """

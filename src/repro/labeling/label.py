@@ -112,6 +112,7 @@ class Labeling:
         "hubs_flat",
         "dists_flat",
         "_batch_cache",
+        "__weakref__",
     )
 
     def __init__(

@@ -107,10 +107,15 @@ class WorldContext:
         return self._memo("labeling", lambda: build_pll(self.graph, self.ordering()))
 
     def sief_index(self):
+        """SIEF index built with the paper's scalar ``bfs_all`` relabel —
+        the reference :meth:`sief_index_batched` is checked against."""
         from repro.core.builder import build_sief
 
         return self._memo(
-            "sief_index", lambda: build_sief(self.graph, self.labeling())
+            "sief_index",
+            lambda: build_sief(
+                self.graph, self.labeling(), algorithm="bfs_all"
+            ),
         )
 
     def sief_engine(self):
@@ -160,8 +165,8 @@ class WorldContext:
         """Batched SIEF index built on the accelerated kernel tier.
 
         Builds the *same* batched index twice — once with kernels forced
-        to pure numpy, once under ``auto`` (numba or the C extension
-        when available) — and asserts the two are bit-identical: same
+        to pure numpy, once under ``auto`` (the C extension when
+        available) — and asserts the two are bit-identical: same
         failure cases, same supplemental ``(rank, dist)`` streams, and
         (unlike the batched-vs-scalar check, where it legitimately
         differs) the same ``search_expanded`` settlement counts.  Any
@@ -917,8 +922,8 @@ ADAPTERS: Dict[str, EngineAdapter] = {
         # The serving layer: queries answered by a live in-process HTTP
         # server over an npz-mmap round-trip of the index (ISSUE 7).
         ServeConformanceAdapter(),
-        # Kernel-tier differential adapters: the accelerated (numba /
-        # C-extension) kernels must answer and build bit-identically to
+        # Kernel-tier differential adapters: the accelerated
+        # (C-extension) kernels must answer and build bit-identically to
         # the pure-numpy tier on every fuzzed instance (ISSUE 6).
         KernelTierBatchAdapter(),
         KernelTierBuildAdapter(),

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.cli import _resolve_algorithm, build_parser
+from repro.cli import build_parser
 from repro.core.builder import SIEFBuilder
 from repro.graph.generators import barabasi_albert
 from repro.labeling.pll import build_pll
@@ -49,46 +49,57 @@ def test_batched_build_at_least_2x_faster_than_scalar():
 class TestCLIFlags:
     def test_build_accepts_jobs_and_batched(self):
         args = build_parser().parse_args(
-            ["build", "g.txt", "--batched", "--jobs", "4"]
+            ["build", "g.txt", "--algorithm", "batched", "--jobs", "4"]
         )
         assert args.jobs == 4
-        assert args.batched is True
-        assert _resolve_algorithm(args) == "batched"
+        assert args.algorithm == "batched"
 
     def test_build_algorithm_batched_choice(self):
         args = build_parser().parse_args(
             ["build", "g.txt", "--algorithm", "batched"]
         )
-        assert _resolve_algorithm(args) == "batched"
+        assert args.algorithm == "batched"
 
-    def test_no_batched_downgrades_batched_algorithm(self):
+    @pytest.mark.parametrize("algorithm", ["bfs_aff", "bfs_all"])
+    def test_paper_algorithms_stay_selectable(self, algorithm):
         args = build_parser().parse_args(
-            ["build", "g.txt", "--algorithm", "batched", "--no-batched"]
+            ["build", "g.txt", "--algorithm", algorithm]
         )
-        assert args.batched is False
-        assert _resolve_algorithm(args) == "bfs_all"
+        assert args.algorithm == algorithm
 
-    def test_no_batched_keeps_explicit_scalar_algorithm(self):
-        args = build_parser().parse_args(
-            ["build", "g.txt", "--algorithm", "bfs_aff", "--no-batched"]
-        )
-        assert _resolve_algorithm(args) == "bfs_aff"
-
-    def test_default_is_scalar_serial(self):
+    def test_default_is_batched_serial(self):
         args = build_parser().parse_args(["build", "g.txt"])
         assert args.jobs == 1
-        assert args.batched is None
-        assert _resolve_algorithm(args) == "bfs_all"
+        assert args.algorithm == "batched"
 
-    def test_batched_flags_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["build", "g.txt", "--batched", "--no-batched"]
-            )
+    @pytest.mark.parametrize("flag", ["--batched", "--no-batched"])
+    def test_batched_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["build", "g.txt", flag])
+        assert exc.value.code == 2
 
     def test_metrics_has_same_flags(self):
-        args = build_parser().parse_args(
-            ["metrics", "--batched", "--jobs", "2"]
-        )
+        args = build_parser().parse_args(["metrics", "--jobs", "2"])
         assert args.jobs == 2
-        assert _resolve_algorithm(args) == "batched"
+        assert args.algorithm == "batched"
+
+
+def test_cli_default_build_matches_paper_reference(tmp_path, capsys):
+    """A bare ``sief build`` writes the bytes ``--algorithm bfs_all`` does."""
+    from repro.cli import main
+    from repro.core.index import SIEFIndex
+    from repro.core.serialize import index_to_bytes
+    from repro.graph.io import write_edge_list
+
+    path = tmp_path / "g.txt"
+    write_edge_list(barabasi_albert(60, 2, seed=3), path)
+    default_out = tmp_path / "default.sief"
+    reference_out = tmp_path / "reference.sief"
+    assert main(["build", str(path), "-o", str(default_out)]) == 0
+    assert "SIEF (batched" in capsys.readouterr().out
+    assert main(
+        ["build", str(path), "--algorithm", "bfs_all", "-o", str(reference_out)]
+    ) == 0
+    assert index_to_bytes(SIEFIndex.load(default_out)) == index_to_bytes(
+        SIEFIndex.load(reference_out)
+    )

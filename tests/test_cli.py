@@ -235,7 +235,7 @@ class TestOutOfCore:
         path, g = graph_file
         store = tmp_path / "store.siefseg"
         rc = main(
-            ["build", str(path), "--batched", "--spill", str(store),
+            ["build", str(path), "--spill", str(store),
              "--shards", "3"]
         )
         assert rc == 0
@@ -244,7 +244,7 @@ class TestOutOfCore:
         assert (store / "segments.bin").exists()
         # The spilled store rebuilds bit-identically to an in-RAM build.
         index_file = tmp_path / "ref.sief"
-        main(["build", str(path), "--batched", "-o", str(index_file)])
+        main(["build", str(path), "-o", str(index_file)])
         assert index_to_bytes(SIEFIndex.load(store)) == index_to_bytes(
             SIEFIndex.load(index_file)
         )
@@ -257,7 +257,7 @@ class TestOutOfCore:
 
         path, _g = graph_file
         index_file = tmp_path / "idx.sief"
-        main(["build", str(path), "--batched", "-o", str(index_file)])
+        main(["build", str(path), "-o", str(index_file)])
         store = tmp_path / "conv.siefseg"
         rc = main(["freeze", str(index_file), "--output", str(store)])
         assert rc == 0

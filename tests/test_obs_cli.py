@@ -127,7 +127,6 @@ def test_metrics_chrome_parallel_build_has_worker_tracks(tmp_path):
             "8",  # above the builder's 4-case pool threshold
             "--jobs",
             "2",
-            "--batched",
             "--format",
             "chrome",
             "--out",
@@ -157,7 +156,6 @@ def test_build_progress_renders_to_stderr(tmp_path, capsys):
             str(graph),
             "-o",
             str(tmp_path / "g.sief"),
-            "--batched",
             "--progress",
         ]
     )

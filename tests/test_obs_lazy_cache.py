@@ -43,13 +43,13 @@ class TestCacheCounters:
         with installed() as reg:
             lazy = LazySIEFIndex(graph)
             lazy.distance(0, 5, edge)
-            assert reg.counter_value("sief.lazy.cache_misses") == 1
-            assert reg.counter_value("sief.lazy.cache_hits") == 0
+            assert reg.counter_value("sief.lazy.cache.misses") == 1
+            assert reg.counter_value("sief.lazy.cache.hits") == 0
             lazy.distance(1, 6, edge)
             lazy.distance(2, 7, edge)
-            assert reg.counter_value("sief.lazy.cache_misses") == 1
-            assert reg.counter_value("sief.lazy.cache_hits") == 2
-            assert reg.gauge("sief.lazy.cached_cases").value == 1
+            assert reg.counter_value("sief.lazy.cache.misses") == 1
+            assert reg.counter_value("sief.lazy.cache.hits") == 2
+            assert reg.gauge("sief.lazy.cache.resident").value == 1
         # Metrics agree with the index's own bookkeeping.
         assert lazy.cases_built == 1
         assert lazy.cache_hits == 2
@@ -61,8 +61,8 @@ class TestCacheCounters:
             lazy = LazySIEFIndex(graph)
             for e in edges:
                 lazy.distance(0, 9, e)
-            assert reg.counter_value("sief.lazy.cache_misses") == 3
-            assert reg.gauge("sief.lazy.cached_cases").value == 3
+            assert reg.counter_value("sief.lazy.cache.misses") == 3
+            assert reg.gauge("sief.lazy.cache.resident").value == 3
             assert (
                 reg.counter_value("sief.build.cases") == 3
             )  # lazy builds feed the shared build counters too
@@ -78,10 +78,10 @@ class TestCacheCounters:
             assert reg.counter_value("sief.lazy.insertions") == 1
             assert reg.counter_value("sief.lazy.invalidations") == 1
             assert reg.counter_value("sief.lazy.invalidated_cases") == 2
-            assert reg.gauge("sief.lazy.cached_cases").value == 0
+            assert reg.gauge("sief.lazy.cache.resident").value == 0
             # Next query on a previously cached edge must rebuild.
             lazy.distance(0, 9, edges[0])
-            assert reg.counter_value("sief.lazy.cache_misses") == 3
+            assert reg.counter_value("sief.lazy.cache.misses") == 3
 
     def test_commit_failure_counts_rebuild_and_drops(self):
         graph = _graph()
@@ -93,7 +93,7 @@ class TestCacheCounters:
             lazy.commit_failure(*edges[0])
             assert reg.counter_value("sief.lazy.rebuilds") == 1
             assert reg.counter_value("sief.lazy.invalidated_cases") == 2
-            assert reg.gauge("sief.lazy.cached_cases").value == 0
+            assert reg.gauge("sief.lazy.cache.resident").value == 0
         assert not lazy.graph.has_edge(*edges[0])
         assert lazy.cases_built == 0
 
@@ -156,8 +156,8 @@ class TestCorpusShapes:
                 first = lazy.distance(cx.s, cx.t, edge)
                 second = lazy.distance(cx.s, cx.t, edge)
             assert first == second == plain, f"answer drift on corpus {name}"
-            assert reg.counter_value("sief.lazy.cache_misses") == 1, name
-            assert reg.counter_value("sief.lazy.cache_hits") == 1, name
+            assert reg.counter_value("sief.lazy.cache.misses") == 1, name
+            assert reg.counter_value("sief.lazy.cache.hits") == 1, name
 
     def test_disconnected_graph_shape(self):
         # Disconnected worlds exercise the unreachable (inf) paths the
@@ -171,8 +171,8 @@ class TestCorpusShapes:
             same_side = lazy.distance(0, 4, edge)
             cross = lazy.distance(0, 6, edge)  # other component: inf
             assert cross == float("inf")
-            assert reg.counter_value("sief.lazy.cache_misses") == 1
-            assert reg.counter_value("sief.lazy.cache_hits") == 1
+            assert reg.counter_value("sief.lazy.cache.misses") == 1
+            assert reg.counter_value("sief.lazy.cache.hits") == 1
         with hooks.disabled():
             plain = LazySIEFIndex(
                 generators.compose_disjoint(
