@@ -10,9 +10,8 @@ The modules here are what the ``benchmarks/`` suite drives:
   single pytest session builds each dataset exactly once.
 * :mod:`repro.bench.reporting` — fixed-width table and bar-chart text
   renderers matching the paper's rows and series.
-* :mod:`repro.bench.history` — append-only benchmark run history with
-  host/env metadata and the noise-aware regression compare behind
-  ``sief bench`` (the performance sentinel).
+* :mod:`repro.bench.history` — :func:`env_metadata`, the host/toolchain
+  fingerprint stamped into every benchmark report.
 """
 
 from repro.bench.datasets import (
@@ -21,15 +20,7 @@ from repro.bench.datasets import (
     PaperReference,
     load_dataset,
 )
-from repro.bench.history import (
-    BenchHistory,
-    BenchRun,
-    Comparison,
-    CrossHostError,
-    compare,
-    compare_runs,
-    env_metadata,
-)
+from repro.bench.history import env_metadata
 from repro.bench.runner import BenchContext, get_context, clear_cache
 from repro.bench.reporting import render_table, render_grouped_bars
 
@@ -43,11 +34,5 @@ __all__ = [
     "clear_cache",
     "render_table",
     "render_grouped_bars",
-    "BenchHistory",
-    "BenchRun",
-    "Comparison",
-    "CrossHostError",
-    "compare",
-    "compare_runs",
     "env_metadata",
 ]

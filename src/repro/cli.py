@@ -390,163 +390,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_workload_samples(args: argparse.Namespace) -> dict:
-    """Time the smoke-scale build/query workloads; k samples each."""
-    import random
-
-    from repro.core.builder import SIEFBuilder
-    from repro.core.query import SIEFQueryEngine
-    from repro.graph import generators
-    from repro.labeling.pll import build_pll
-
-    workloads = args.workload or ["build", "query"]
-    graph = generators.barabasi_albert(
-        args.vertices, args.attach, seed=args.seed
-    )
-    rng = random.Random(args.seed)
-    edges = sorted(graph.edges())
-    cases = rng.sample(edges, min(args.cases, len(edges)))
-    labeling = build_pll(graph)
-    out: dict = {}
-    if "build" in workloads:
-        samples = []
-        for _ in range(args.repeat):
-            started = time.perf_counter()
-            SIEFBuilder(graph, labeling, algorithm=args.algorithm).build(
-                edges=cases
-            )
-            samples.append(time.perf_counter() - started)
-        out["build"] = samples
-    if "query" in workloads:
-        index, _report = SIEFBuilder(
-            graph, labeling, algorithm=args.algorithm
-        ).build(edges=cases)
-        engine = SIEFQueryEngine(index)
-        n = graph.num_vertices
-        pairs = [
-            (rng.randrange(n), rng.randrange(n)) for _ in range(args.queries)
-        ]
-        samples = []
-        for _ in range(args.repeat):
-            started = time.perf_counter()
-            for edge in cases:
-                engine.batch_query(edge, pairs)
-            samples.append(time.perf_counter() - started)
-        out["query"] = samples
-    return out
-
-
-def _cmd_bench_record(args: argparse.Namespace) -> int:
-    from repro.bench.history import (
-        BenchHistory,
-        BenchRun,
-        default_run_label,
-        env_metadata,
-    )
-
-    if args.sample and not args.bench_id:
-        print("error: --sample requires --id", file=sys.stderr)
-        return 2
-    history = BenchHistory(args.history)
-    run_label = args.run or default_run_label()
-    meta = env_metadata()
-    if args.sample:
-        per_bench = {args.bench_id: list(args.sample)}
-    else:
-        per_bench = _bench_workload_samples(args)
-    now = time.time()
-    for bench_id, samples in sorted(per_bench.items()):
-        samples = [s * args.scale for s in samples]
-        rec = BenchRun(
-            bench_id=bench_id,
-            samples=tuple(samples),
-            run=run_label,
-            meta=meta,
-            timestamp=now,
-        )
-        history.append(rec)
-        print(
-            f"recorded {bench_id} [{run_label}]: "
-            f"min {min(samples):.6g}s over {len(samples)} samples"
-        )
-    print(f"history: {history.path}")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench.history import (
-        BenchHistory,
-        CrossHostError,
-        CrossTierError,
-        compare_runs,
-    )
-
-    history = BenchHistory(args.history)
-    baseline, candidate = args.baseline, args.candidate
-    if baseline is None or candidate is None:
-        labels = history.run_labels()
-        if len(labels) < 2:
-            print(
-                f"error: need two recorded runs in {history.path} "
-                f"(found {len(labels)}); pass --baseline/--candidate",
-                file=sys.stderr,
-            )
-            return 2
-        if baseline is None:
-            baseline = labels[-2]
-        if candidate is None:
-            candidate = labels[-1]
-    try:
-        comparisons, missing = compare_runs(
-            history,
-            baseline,
-            candidate,
-            threshold=args.threshold,
-            statistic=args.statistic,
-            allow_cross_host=args.allow_cross_host,
-            allow_cross_tier=args.allow_cross_tier,
-        )
-    except (CrossHostError, CrossTierError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"baseline={baseline}  candidate={candidate}")
-    for comp in comparisons:
-        print(comp.describe())
-    for bench_id in missing:
-        print(f"WARN {bench_id}: present in only one run")
-    regressed = any(c.regressed for c in comparisons)
-    if args.expect_regression:
-        if regressed:
-            print("expected regression detected")
-            return 0
-        print("error: expected a regression but every benchmark passed")
-        return 1
-    return 1 if regressed else 0
-
-
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    from repro.bench.history import BenchHistory
-
-    history = BenchHistory(args.history)
-    records = history.load()
-    if not records:
-        print(f"(no records in {history.path})")
-        return 0
-    for label in history.run_labels():
-        recs = [r for r in records if r.run == label]
-        hosts = sorted({str(r.meta.get("hostname")) for r in recs})
-        shas = sorted({str(r.meta.get("git_sha")) for r in recs})
-        print(
-            f"{label}: {len(recs)} benchmark(s) "
-            f"[{', '.join(r.bench_id for r in recs)}] "
-            f"host={','.join(hosts)} sha={','.join(shas)}"
-        )
-    return 0
-
-
 def _cmd_kernels(args: argparse.Namespace) -> int:
     from repro.kernels import capability_report
 
@@ -1143,108 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_build_path_flags(metrics)
     metrics.set_defaults(func=_cmd_metrics)
-
-    bench = sub.add_parser(
-        "bench",
-        help="record benchmark runs and detect perf regressions",
-    )
-    bsub = bench.add_subparsers(dest="bench_command", required=True)
-
-    brec = bsub.add_parser(
-        "record", help="time the smoke workloads and append to the history"
-    )
-    brec.add_argument(
-        "--history",
-        default="bench_history.jsonl",
-        help="JSON-lines history file (appended; created if missing)",
-    )
-    brec.add_argument(
-        "--run", default=None, help="run label (default: run-<millis>)"
-    )
-    brec.add_argument(
-        "--id",
-        dest="bench_id",
-        default=None,
-        help="benchmark id for injected --sample values",
-    )
-    brec.add_argument(
-        "--sample",
-        action="append",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="inject a sample instead of timing (repeatable; needs --id)",
-    )
-    brec.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="multiply every sample (synthetic slowdowns for CI self-tests)",
-    )
-    brec.add_argument(
-        "--workload",
-        action="append",
-        choices=["build", "query"],
-        default=None,
-        help="workload(s) to time (repeatable; default: both)",
-    )
-    brec.add_argument("--vertices", type=int, default=300)
-    brec.add_argument("--attach", type=int, default=3)
-    brec.add_argument("--cases", type=int, default=5)
-    brec.add_argument("--queries", type=int, default=2000)
-    brec.add_argument(
-        "--repeat", type=int, default=3, help="samples per benchmark"
-    )
-    brec.add_argument("--seed", type=int, default=0)
-    brec.add_argument(
-        "--algorithm",
-        choices=["bfs_aff", "bfs_all", "batched"],
-        default="batched",
-    )
-    brec.set_defaults(func=_cmd_bench_record)
-
-    bcmp = bsub.add_parser(
-        "compare", help="regression verdict between two recorded runs"
-    )
-    bcmp.add_argument("--history", default="bench_history.jsonl")
-    bcmp.add_argument(
-        "--baseline", default=None, help="run label (default: second-newest)"
-    )
-    bcmp.add_argument(
-        "--candidate", default=None, help="run label (default: newest)"
-    )
-    bcmp.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="relative slowdown tolerated before FAIL (default 0.10)",
-    )
-    bcmp.add_argument(
-        "--statistic",
-        choices=["min", "median", "mean"],
-        default="min",
-        help="per-run representative value (default: min-of-k)",
-    )
-    bcmp.add_argument(
-        "--allow-cross-host",
-        action="store_true",
-        help="permit comparing runs recorded on different hosts",
-    )
-    bcmp.add_argument(
-        "--allow-cross-tier",
-        action="store_true",
-        help="permit comparing runs recorded on different kernel tiers",
-    )
-    bcmp.add_argument(
-        "--expect-regression",
-        action="store_true",
-        help="invert the exit code: succeed only if a regression is found",
-    )
-    bcmp.set_defaults(func=_cmd_bench_compare)
-
-    bhist = bsub.add_parser("history", help="list recorded runs")
-    bhist.add_argument("--history", default="bench_history.jsonl")
-    bhist.set_defaults(func=_cmd_bench_history)
 
     return parser
 

@@ -149,8 +149,8 @@ def registry_from_json_lines(records: List[dict]) -> MetricsRegistry:
 
     The inverse of the metrics half of :func:`to_json_lines`:
     ``registry_from_json_lines(read_json_lines(write_json_lines(reg,
-    p))).snapshot() == reg.snapshot()`` — the round-trip contract the
-    bench history and regression comparisons rely on.  Span, summary
+    p))).snapshot() == reg.snapshot()`` — the round-trip contract that
+    lets a metrics sidecar be re-read and merged later.  Span, summary
     and foreign (``env`` etc.) lines are ignored.
     """
     reg = MetricsRegistry()

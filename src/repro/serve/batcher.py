@@ -1,8 +1,8 @@
 """Micro-batching queue: coalesce in-flight requests into ``batch_query``.
 
-The measured engine batch path answers ~20x more queries per second than
-the scalar loop (BENCH_query_throughput.json) — but only when someone
-hands it batches.  A serving daemon gets its batches from concurrency:
+The engine's vectorized ``batch_query`` amortizes its per-call cost over
+every pair in the call — but only when someone hands it batches.  A
+serving daemon gets its batches from concurrency:
 every request (single pair or client-side batch) enqueues its pairs with
 a future, and one flusher task drains the queue into as few
 :meth:`~repro.core.query.SIEFQueryEngine.batch_query` calls as there are

@@ -4,10 +4,10 @@
   keep-alive connection.  The conformance adapter and the test suites
   drive the server with it.
 * :class:`AsyncServeClient` — asyncio, raw keep-alive HTTP over
-  ``asyncio.open_connection``.  The open-loop load generator
-  (``benchmarks/bench_serve.py``) uses many of these concurrently; each
-  instance owns one connection and must only be used from one task at a
-  time.
+  ``asyncio.open_connection``.  The end-to-end benchmark's load
+  generator (``benchmarks/e2e/loadgen.py``) keeps one per connection;
+  each instance owns one connection and must only be used from one task
+  at a time.
 
 Both speak every endpoint: JSON single/batch, the binary frame, and the
 operational GETs.  Server-side errors surface as

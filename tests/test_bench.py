@@ -133,3 +133,24 @@ class TestReporting:
     def test_ratio_line(self):
         line = render_ratio_line("IT", 2.0, 0.5)
         assert "x4.00" in line
+
+
+def test_env_metadata_keys_match_the_report_stamp():
+    # benchmarks/e2e/run.py stamps exactly these into every report's "env".
+    from repro.bench.history import env_metadata
+
+    meta = env_metadata()
+    assert set(meta) == {
+        "python",
+        "implementation",
+        "numpy",
+        "platform",
+        "machine",
+        "cpu_count",
+        "hostname",
+        "git_sha",
+        "kernel_tier",
+        "peak_rss_bytes",
+    }
+    assert meta["hostname"]
+    assert meta["kernel_tier"] in ("numpy", "cext")

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.graph.io import write_edge_list
 from repro.graph import generators
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -273,3 +279,48 @@ def test_error_reported_as_exit_code_2(tmp_path, capsys):
     rc = main(["query", str(missing), "--fail", "0", "1", "--pair", "0", "1"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_removed_bench_subcommand_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "history", "--history", str(tmp_path / "h.jsonl")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def _documented_sief_commands():
+    """``(where, argv)`` for every ``sief`` line in the docs' shell blocks.
+
+    Covers the ```bash and ```console fences of README.md and docs/*.md;
+    a console line's ``$ `` prompt, trailing ``# comment`` and leading
+    ``VAR=value`` assignments are stripped.
+    """
+    found = []
+    for doc in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        fence = None
+        for lineno, line in enumerate(doc.read_text(encoding="utf-8").splitlines(), 1):
+            text = line.strip()
+            if text.startswith("```"):
+                fence = text[3:] if fence is None else None
+                continue
+            if fence not in ("bash", "console") or not re.search(r"(^|\s)sief\s", text):
+                continue
+            words = shlex.split(text[2:] if text.startswith("$ ") else text, comments=True)
+            while words and re.fullmatch(r"[A-Za-z_]\w*=\S*", words[0]):
+                words.pop(0)
+            if words and words[0] == "sief":
+                found.append((f"{doc.name}:{lineno}", words[1:]))
+    return found
+
+
+def test_documented_sief_commands_parse(capsys):
+    commands = _documented_sief_commands()
+    assert len(commands) >= 20, commands  # the extractor still finds the docs' examples
+    parser = build_parser()
+    unparsable = []
+    for where, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            unparsable.append(f"{where}: sief {shlex.join(argv)}")
+    assert not unparsable, unparsable

@@ -6,7 +6,8 @@ Covers the dispatcher in :mod:`repro.kernels`: precedence of
 forced pure-numpy fallback when no accelerated backend exists (checked
 in a subprocess with the C compiler opted out), the on-demand compile
 cache of the C backend, and the ``sief
-kernels`` capability report surfaced into bench-history metadata.
+kernels`` capability report surfaced into the benchmark environment
+stamp.
 """
 
 from __future__ import annotations
@@ -282,36 +283,3 @@ def test_env_metadata_records_kernel_tier():
     with kernels.use_tier("numpy"):
         meta = env_metadata()
     assert meta["kernel_tier"] == "numpy"
-
-
-def test_bench_compare_refuses_cross_tier_runs():
-    from repro.bench.history import BenchRun, CrossTierError, compare
-
-    base = BenchRun(
-        bench_id="build",
-        samples=(1.0,),
-        meta={"hostname": "h", "kernel_tier": "numpy"},
-    )
-    head = BenchRun(
-        bench_id="build",
-        samples=(0.2,),
-        meta={"hostname": "h", "kernel_tier": "cext"},
-    )
-    with pytest.raises(CrossTierError):
-        compare(base, head)
-    result = compare(base, head, allow_cross_tier=True)
-    assert result.ratio == pytest.approx(0.2)
-    assert result.improved
-
-
-def test_bench_compare_tolerates_missing_tier_metadata():
-    """Pre-existing history rows without kernel_tier still compare."""
-    from repro.bench.history import BenchRun, compare
-
-    base = BenchRun(bench_id="build", samples=(1.0,), meta={"hostname": "h"})
-    head = BenchRun(
-        bench_id="build",
-        samples=(1.1,),
-        meta={"hostname": "h", "kernel_tier": "numpy"},
-    )
-    assert compare(base, head).ratio == pytest.approx(1.1)

@@ -1,4 +1,4 @@
-"""CLI coverage: ``sief metrics``, ``sief bench``, ``sief build --progress``."""
+"""CLI coverage: ``sief metrics`` and ``sief build --progress``."""
 
 from __future__ import annotations
 
@@ -164,151 +164,6 @@ def test_build_progress_renders_to_stderr(tmp_path, capsys):
     assert "sief build:" in err
     assert "/s" in err
     assert err.endswith("\n")
-
-
-class TestBenchCli:
-    def _record(self, history, run, samples, scale=None):
-        argv = [
-            "bench",
-            "record",
-            "--history",
-            str(history),
-            "--run",
-            run,
-            "--id",
-            "build",
-        ]
-        for s in samples:
-            argv += ["--sample", str(s)]
-        if scale is not None:
-            argv += ["--scale", str(scale)]
-        return main(argv)
-
-    def test_identical_runs_pass(self, tmp_path, capsys):
-        h = tmp_path / "hist.jsonl"
-        assert self._record(h, "base", [0.1, 0.12]) == 0
-        assert self._record(h, "cand", [0.1, 0.13]) == 0
-        rc = main(["bench", "compare", "--history", str(h)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "PASS build: 1.00x" in out
-
-    def test_injected_slowdown_fails_with_id_and_ratio(self, tmp_path, capsys):
-        h = tmp_path / "hist.jsonl"
-        self._record(h, "base", [0.1])
-        self._record(h, "cand", [0.1], scale=2.0)
-        rc = main(["bench", "compare", "--history", str(h)])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "FAIL build: 2.00x" in out
-
-    def test_expect_regression_inverts_exit_code(self, tmp_path, capsys):
-        h = tmp_path / "hist.jsonl"
-        self._record(h, "base", [0.1])
-        self._record(h, "cand", [0.1], scale=2.0)
-        rc = main(
-            ["bench", "compare", "--history", str(h), "--expect-regression"]
-        )
-        assert rc == 0
-        self._record(h, "cand2", [0.1])
-        rc = main(
-            [
-                "bench",
-                "compare",
-                "--history",
-                str(h),
-                "--baseline",
-                "base",
-                "--candidate",
-                "cand2",
-                "--expect-regression",
-            ]
-        )
-        assert rc == 1
-
-    def test_cross_host_refused_with_warning(self, tmp_path, capsys):
-        import json as _json
-
-        h = tmp_path / "hist.jsonl"
-        self._record(h, "base", [0.1])
-        self._record(h, "cand", [0.1])
-        # Rewrite the baseline's hostname to simulate a foreign artifact.
-        lines = [
-            _json.loads(line)
-            for line in h.read_text().splitlines()
-            if line.strip()
-        ]
-        lines[0]["meta"]["hostname"] = "other-host"
-        h.write_text("\n".join(_json.dumps(o) for o in lines) + "\n")
-        rc = main(["bench", "compare", "--history", str(h)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "other-host" in err
-        assert "--allow-cross-host" in err
-        rc = main(
-            ["bench", "compare", "--history", str(h), "--allow-cross-host"]
-        )
-        assert rc == 0
-
-    def test_missing_runs_is_an_error(self, tmp_path, capsys):
-        h = tmp_path / "hist.jsonl"
-        self._record(h, "only", [0.1])
-        rc = main(["bench", "compare", "--history", str(h)])
-        assert rc == 2
-        assert "two recorded runs" in capsys.readouterr().err
-
-    def test_sample_requires_id(self, tmp_path, capsys):
-        rc = main(
-            [
-                "bench",
-                "record",
-                "--history",
-                str(tmp_path / "h.jsonl"),
-                "--sample",
-                "0.1",
-            ]
-        )
-        assert rc == 2
-        assert "--id" in capsys.readouterr().err
-
-    def test_history_lists_runs(self, tmp_path, capsys):
-        h = tmp_path / "hist.jsonl"
-        self._record(h, "r1", [0.1])
-        self._record(h, "r2", [0.2])
-        assert main(["bench", "history", "--history", str(h)]) == 0
-        out = capsys.readouterr().out
-        assert "r1: 1 benchmark(s) [build]" in out
-        assert "r2:" in out
-
-    def test_record_real_workload_smoke(self, tmp_path, capsys):
-        h = tmp_path / "hist.jsonl"
-        rc = main(
-            [
-                "bench",
-                "record",
-                "--history",
-                str(h),
-                "--run",
-                "smoke",
-                "--workload",
-                "query",
-                "--vertices",
-                "40",
-                "--cases",
-                "2",
-                "--queries",
-                "50",
-                "--repeat",
-                "2",
-            ]
-        )
-        assert rc == 0
-        from repro.bench.history import BenchHistory
-
-        (rec,) = BenchHistory(h).load()
-        assert rec.bench_id == "query"
-        assert len(rec.samples) == 2
-        assert rec.meta["hostname"]
 
 
 def test_fuzz_metrics_sidecar(tmp_path, capsys):
