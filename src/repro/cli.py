@@ -116,11 +116,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.core.index import SIEFIndex
     from repro.core.query import SIEFQueryEngine
-    from repro.core.serialize import load_index
     from repro.labeling.query import INF
 
-    index = load_index(args.index)
+    index = SIEFIndex.load(args.index)
     engine = SIEFQueryEngine(index)
     u, v = args.fail
     s, t = args.pair
@@ -131,13 +131,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_path(args: argparse.Namespace) -> int:
+    from repro.core.index import SIEFIndex
     from repro.core.query import SIEFQueryEngine
-    from repro.core.serialize import load_index
     from repro.graph.io import read_edge_list
     from repro.labeling.paths import failure_shortest_path
 
     graph, _names = read_edge_list(args.graph)
-    engine = SIEFQueryEngine(load_index(args.index))
+    engine = SIEFQueryEngine(SIEFIndex.load(args.index))
     u, v = args.fail
     s, t = args.pair
     path = failure_shortest_path(graph, engine, s, t, (u, v))
@@ -154,9 +154,9 @@ def _cmd_impact(args: argparse.Namespace) -> int:
         failure_impact_histogram,
         resilience_profile,
     )
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
 
-    index = load_index(args.index)
+    index = SIEFIndex.load(args.index)
     print(f"worst {args.top} failure cases by affected vertices:")
     for edge, impact in failure_impact_histogram(index, top=args.top):
         print(f"  edge {edge}: {impact} affected")
@@ -180,11 +180,11 @@ def _cmd_impact(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
     from repro.core.stats import sief_stats
     from repro.labeling.stats import labeling_stats
 
-    index = load_index(args.index)
+    index = SIEFIndex.load(args.index)
     original = labeling_stats(index.labeling)
     stats = sief_stats(index)
     print(f"vertices:               {stats.num_vertices}")
@@ -200,12 +200,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
     from repro.core.verify import verify_index
     from repro.graph.io import read_edge_list
 
     graph, _names = read_edge_list(args.graph)
-    index = load_index(args.index)
+    index = SIEFIndex.load(args.index)
     problems = verify_index(
         index, graph, sample_cases=args.sample, seed=args.seed
     )
@@ -221,12 +221,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
     from repro.core.verify import VERIFY_LEVELS, verify_index
     from repro.graph.io import read_edge_list
 
     graph, _names = read_edge_list(args.graph)
-    index = load_index(args.index)
+    index = SIEFIndex.load(args.index)
     levels = args.level or list(VERIFY_LEVELS)
     problems = verify_index(
         index,

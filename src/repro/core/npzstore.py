@@ -7,27 +7,20 @@ copy of a multi-gigabyte index.  This module stores the *frozen* form of
 a :class:`~repro.core.index.SIEFIndex` as a dict of flat numpy arrays:
 
 * the labeling's CSR triplet (``offsets``/``hubs``/``dists``) plus the
-  ordering permutation ``vertex_at`` — deliberately the same array names
-  as the PR 4 shared-memory build spec (:mod:`repro.core.shm`), so the
-  same packed dict publishes to a :class:`~repro.core.shm.SharedArena`
-  unchanged;
+  ordering permutation ``vertex_at``;
 * every per-edge supplement concatenated into one global CSR-of-CSRs:
   ``sup_case_offsets`` slices ``sup_vertices``/``sup_entry_offsets`` per
   failure case, and ``sup_entry_offsets`` slices ``sup_ranks``/
   ``sup_dists`` per affected vertex;
 * the affected sides likewise (``side_u_offsets``/``side_u`` etc.).
 
-Three transports share :func:`pack_index` / :func:`unpack_index`:
-
-* :func:`save_index_npz` / :func:`load_index_npz` — a standard ``.npz``
-  file.  Saved **uncompressed** by default, which is what makes
-  ``mmap_mode="r"`` possible: npz members are stored contiguously inside
-  the zip, so the loader maps each array straight out of the file with
-  :class:`numpy.memmap` (zero copy, page-cache shared across processes)
-  instead of reading it through :func:`numpy.load`.
-* :func:`publish_index` / :func:`attach_index` — the index over a named
-  POSIX shared-memory segment, for workers serving an index that was
-  built in memory and never touched disk.
+:func:`save_index_npz` / :func:`load_index_npz` write and read the
+packed arrays (:func:`pack_index` / :func:`unpack_index`) as a standard
+``.npz`` file.  It is saved **uncompressed** by default, which is what
+makes ``mmap_mode="r"`` possible: npz members are stored contiguously
+inside the zip, so the loader maps each array straight out of the file
+with :class:`numpy.memmap` (zero copy, page-cache shared across
+processes) instead of reading it through :func:`numpy.load`.
 
 Loads produce :class:`MappedSupplement` views — duck-typed stand-ins for
 :class:`~repro.core.supplemental.SupplementalIndex` whose label arrays
@@ -68,8 +61,7 @@ class MappedSupplement:
     and :mod:`repro.core.serialize` touch — ``affected``, ``get``,
     ``flat``, ``edge``, ``labels``/``iter_labels``, ``total_entries`` —
     without ever copying the rank/dist arrays: ``flat()`` returns views
-    into the backing buffer (file mmap, shm segment, or in-memory
-    arrays).  The affected-side tuples and the per-vertex ``labels``
+    into the backing buffer (file mmap or in-memory arrays).  The affected-side tuples and the per-vertex ``labels``
     dict are built lazily and cached; for batch-path serving they are
     never needed at all beyond the sides.
     """
@@ -191,12 +183,7 @@ _EMPTY = SupplementalLabels([], [])
 
 
 def pack_index(index) -> Dict[str, np.ndarray]:
-    """Flatten a frozen :class:`SIEFIndex` into named flat arrays.
-
-    The labeling keys (``vertex_at``/``offsets``/``hubs``/``dists``)
-    match the PR 4 shm build spec so the packed dict doubles as a
-    :meth:`SharedArena.publish` payload.
-    """
+    """Flatten a frozen :class:`SIEFIndex` into named flat arrays."""
     labeling = index.labeling
     if labeling.offsets is None:
         labeling.freeze()
@@ -244,7 +231,7 @@ def pack_index(index) -> Dict[str, np.ndarray]:
 
     return {
         "format_version": np.int64(NPZ_INDEX_FORMAT_VERSION),
-        # -- labeling (same keys as the shm build-input spec) --
+        # -- labeling --
         "vertex_at": np.asarray(
             labeling.ordering.sequence(), dtype=np.int32
         ),
@@ -278,9 +265,9 @@ _REQUIRED_KEYS = (
 def unpack_index(arrays: Mapping[str, np.ndarray]):
     """Rebuild a :class:`SIEFIndex` over packed arrays — zero label copies.
 
-    ``arrays`` may come from :func:`numpy.load`, the mmap loader, or a
-    :meth:`SharedArena.arrays` dict; the returned index's supplement
-    rank/dist arrays are views into whatever buffers back it.
+    ``arrays`` may come from :func:`numpy.load` or the mmap loader; the
+    returned index's supplement rank/dist arrays are views into whatever
+    buffers back it.
     """
     from repro.core.index import SIEFIndex
 
@@ -447,41 +434,3 @@ def load_index_npz(path: PathLike, mmap_mode: Optional[str] = None):
     except (OSError, zipfile.BadZipFile, ValueError) as exc:
         raise SerializationError(f"bad npz archive {path}: {exc}") from exc
     return unpack_index(arrays)
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory transport (PR 4 segment spec)
-# ---------------------------------------------------------------------------
-
-
-def publish_index(index):
-    """Publish a frozen index into one POSIX shared-memory segment.
-
-    Returns the owning :class:`~repro.core.shm.SharedArena`; its
-    :meth:`~repro.core.shm.SharedArena.spec` is the tiny picklable
-    handle serving workers attach from.  The caller owns the segment's
-    lifetime exactly as in the PR 4 parallel build.
-    """
-    from repro.core.shm import SharedArena
-
-    arrays = pack_index(index)
-    # 0-d arrays don't survive the arena layout round-trip; lift the
-    # version scalar to shape (1,).
-    arrays["format_version"] = np.asarray(
-        [int(arrays["format_version"])], dtype=np.int64
-    )
-    return SharedArena.publish(arrays)
-
-
-def attach_index(spec: dict):
-    """Rebuild ``(arena, index)`` from a published spec — zero copies.
-
-    The index's arrays are read-only views into the shared segment; keep
-    the arena referenced (and ``close()`` it) for as long as the index
-    is in use.
-    """
-    from repro.core.shm import SharedArena
-
-    arena = SharedArena.attach(spec)
-    arrays = dict(arena.arrays())
-    return arena, unpack_index(arrays)

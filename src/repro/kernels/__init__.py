@@ -4,9 +4,11 @@ Profiling the 10k-vertex batched build and the batch query path puts
 essentially all the time in four tight loops: single-source CSR BFS
 (IDENTIFY), the 64-lane bit-parallel sweep, the RELABEL direction pass
 (sweep + late redundancy filter — the filter dominates), and the
-hub-join of :func:`repro.labeling.query.batch_dist_query`.  This package
-provides a compiled implementation of those kernels and routes callers
-to it when it is available:
+hub join behind :func:`repro.labeling.query.dist_query` and
+:func:`~repro.labeling.query.batch_dist_query` (whose kernel, called
+with a frozen labeling's flat arrays, returns the join bound to them).
+This package provides a compiled implementation of those kernels and
+routes callers to it when it is available:
 
 ``cext``
     The same kernels in C (``_csrc/siefkernels.c``), compiled on demand
@@ -58,11 +60,6 @@ TIERS = ("cext", "numpy")
 
 CHOICES = ("auto",) + TIERS
 """Valid values for ``SIEF_KERNELS`` / ``sief --kernels``."""
-
-HUB_JOIN_DTYPES = frozenset(
-    (np.dtype(np.int32), np.dtype(np.int64), np.dtype(np.float64))
-)
-"""Frozen-label distance dtypes the compiled hub-join handles."""
 
 RELABEL_DTYPES = frozenset((np.dtype(np.int32),))
 """Frozen-label distance dtypes the compiled relabel pass handles

@@ -10,7 +10,9 @@
  *                     the late redundancy filter with the per-root via
  *                     cache (repro.core.batched._relabel_side_batched).
  *   sief_hub_join   - per-pair sorted-key merge join of two label slices
- *                     (repro.labeling.query.batch_dist_query).
+ *                     (repro.labeling.query.batch_dist_query), and
+ *                     sief_hub_join_pair, the same join for one pair
+ *                     (repro.labeling.query.dist_query).
  *   sief_pll_build  - full pruned-landmark-labeling construction
  *                     (repro.labeling.pll._build_pll_impl), exported to
  *                     the frozen flat layout via sief_pll_export.
@@ -487,10 +489,17 @@ done:
  *   test false — a perfectly predicted branch — until the slowest
  *   lane drains.  Each lane computes exactly what the scalar loop
  *   computes for its pair.
+ *
+ * sief_hub_join reads `pairs` as interleaved (s, t) int64 ids and
+ * answers 0.0 for s == t, as the numpy reference does.
+ * sief_hub_join_pair answers one pair and returns the accumulator
+ * itself, its infinity included, so an integral labeling's answer
+ * stays an exact integer instead of a double.
  */
 #define HUB_LANE_INIT(L, acc, acc_inf)                                        \
-    int64_t i##L = offsets[src[q + L]], e##L = offsets[src[q + L] + 1];       \
-    int64_t j##L = offsets[dst[q + L]], f##L = offsets[dst[q + L] + 1];       \
+    int64_t s##L = pairs[2 * (q + L)], t##L = pairs[2 * (q + L) + 1];         \
+    int64_t i##L = offsets[s##L], e##L = offsets[s##L + 1];                   \
+    int64_t j##L = offsets[t##L], f##L = offsets[t##L + 1];                   \
     acc b##L = acc_inf;
 
 #define HUB_LANE_STEP(L, acc)                                                 \
@@ -505,12 +514,32 @@ done:
     }
 
 #define HUB_LANE_OUT(L, acc_inf)                                              \
-    out[q + L] = (b##L == acc_inf) ? INFINITY : (double)b##L;
+    out[q + L] = (s##L == t##L)   ? 0.0                                       \
+                 : (b##L == acc_inf) ? INFINITY                               \
+                                     : (double)b##L;
 
 #define DEFINE_HUB_JOIN(suffix, dtype, acc, acc_inf)                          \
+    static inline acc hub_join_one_##suffix(                                  \
+        const int64_t *offsets, const int32_t *hubs, const dtype *dists,      \
+        int64_t s, int64_t t)                                                 \
+    {                                                                         \
+        int64_t i = offsets[s], iend = offsets[s + 1];                        \
+        int64_t j = offsets[t], jend = offsets[t + 1];                        \
+        acc best = acc_inf;                                                   \
+        while (i < iend && j < jend) {                                        \
+            int32_t ha = hubs[i], hb = hubs[j];                               \
+            acc tot = (acc)dists[i] + (acc)dists[j];                          \
+            if (ha == hb && tot < best)                                       \
+                best = tot;                                                   \
+            i += (ha <= hb);                                                  \
+            j += (hb <= ha);                                                  \
+        }                                                                     \
+        return best;                                                          \
+    }                                                                         \
+                                                                              \
     int sief_hub_join_##suffix(                                               \
         const int64_t *offsets, const int32_t *hubs, const dtype *dists,      \
-        int64_t npairs, const int64_t *src, const int64_t *dst, double *out)  \
+        int64_t npairs, const int64_t *pairs, double *out)                    \
     {                                                                         \
         int64_t q = 0;                                                        \
         for (; q + 4 <= npairs; q += 4) {                                     \
@@ -532,20 +561,20 @@ done:
             HUB_LANE_OUT(3, acc_inf)                                          \
         }                                                                     \
         for (; q < npairs; q++) {                                             \
-            int64_t i = offsets[src[q]], iend = offsets[src[q] + 1];          \
-            int64_t j = offsets[dst[q]], jend = offsets[dst[q] + 1];          \
-            acc best = acc_inf;                                               \
-            while (i < iend && j < jend) {                                    \
-                int32_t ha = hubs[i], hb = hubs[j];                           \
-                acc tot = (acc)dists[i] + (acc)dists[j];                      \
-                if (ha == hb && tot < best)                                   \
-                    best = tot;                                               \
-                i += (ha <= hb);                                              \
-                j += (hb <= ha);                                              \
-            }                                                                 \
-            out[q] = (best == acc_inf) ? INFINITY : (double)best;             \
+            int64_t s = pairs[2 * q], t = pairs[2 * q + 1];                   \
+            acc best = hub_join_one_##suffix(offsets, hubs, dists, s, t);     \
+            out[q] = (s == t)             ? 0.0                               \
+                     : (best == acc_inf) ? INFINITY                           \
+                                         : (double)best;                      \
         }                                                                     \
         return 0;                                                             \
+    }                                                                         \
+                                                                              \
+    acc sief_hub_join_pair_##suffix(                                          \
+        const int64_t *offsets, const int32_t *hubs, const dtype *dists,      \
+        int64_t s, int64_t t)                                                 \
+    {                                                                         \
+        return hub_join_one_##suffix(offsets, hubs, dists, s, t);             \
     }
 
 DEFINE_HUB_JOIN(i32, int32_t, int64_t, INT64_MAX)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -44,7 +45,9 @@ _p_i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _p_i32 = np.ctypeslib.ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
 _p_u64 = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 _p_u8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
-_p_f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_vp = ctypes.c_void_p
+_i64_buf = ctypes.c_int64.from_buffer
+_f64_buf = ctypes.c_double.from_buffer
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_U64 = np.zeros(0, dtype=np.uint64)
@@ -111,10 +114,20 @@ def _bind(lib: ctypes.CDLL) -> None:
         _p_i64, _p_i32, _p_i32, _p_i64,
         _i64, _p_i64, _p_i64, _p_i64, _p_i64,
     ]
-    for suffix, ptr in (("i32", _p_i32), ("i64", _p_i64), ("f64", _p_f64)):
+    # The hub join takes raw addresses: BoundHubJoin checks its arrays
+    # once instead of ndpointer re-checking them on every call.
+    for suffix, acc in (
+        ("i32", _i64), ("i64", _i64), ("f64", ctypes.c_double)
+    ):
         fn = getattr(lib, f"sief_hub_join_{suffix}")
         fn.restype = ctypes.c_int32
-        fn.argtypes = [_p_i64, _p_i32, ptr, _i64, _p_i64, _p_i64, _p_f64]
+        fn.argtypes = [
+            _vp, _vp, _vp, _i64,
+            ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double),
+        ]
+        fn = getattr(lib, f"sief_hub_join_pair_{suffix}")
+        fn.restype = acc
+        fn.argtypes = [_vp, _vp, _vp, _i64, _i64]
     lib.sief_pll_build.restype = ctypes.c_void_p
     lib.sief_pll_build.argtypes = [_i64, _p_i64, _p_i32, _p_i64, _p_i64]
     lib.sief_pll_export.restype = ctypes.c_int32
@@ -243,16 +256,85 @@ def relabel(
         raise MemoryError("sief_relabel scratch allocation failed")
 
 
-def hub_join(offsets, hubs, dists, src, dst, out) -> None:
-    if dists.dtype == np.int32:
-        fn = _lib.sief_hub_join_i32
-    elif dists.dtype == np.int64:
-        fn = _lib.sief_hub_join_i64
-    elif dists.dtype == np.float64:
-        fn = _lib.sief_hub_join_f64
-    else:  # pragma: no cover - dispatcher checks HUB_JOIN_DTYPES first
-        raise TypeError(f"unsupported label dtype {dists.dtype}")
-    fn(offsets, hubs, dists, len(src), src, dst, out)
+_HUB_JOIN_SUFFIX = {
+    np.dtype(np.int32): "i32",
+    np.dtype(np.int64): "i64",
+    np.dtype(np.float64): "f64",
+}
+
+_ABSENT_I64 = 2**63 - 1
+"""``INT64_MAX``: the integral join's "no shared hub" accumulator."""
+
+
+class BoundHubJoin:
+    """``sief_hub_join`` bound to one frozen labeling's flat arrays.
+
+    :func:`hub_join` checks the arrays' dtypes and contiguity once; the
+    binding holds them, so their buffers outlive every call that passes
+    their addresses.  Vertex ids are not checked here: callers pass ids
+    already range-checked against ``len(offsets) - 1``.
+    """
+
+    __slots__ = (
+        "offsets", "hubs", "dists", "_ptrs", "_pair", "_batch", "_absent"
+    )
+
+    def __init__(self, offsets, hubs, dists, suffix: str) -> None:
+        self.offsets = offsets
+        self.hubs = hubs
+        self.dists = dists
+        self._ptrs = (offsets.ctypes.data, hubs.ctypes.data, dists.ctypes.data)
+        self._pair = getattr(_lib, f"sief_hub_join_pair_{suffix}")
+        self._batch = getattr(_lib, f"sief_hub_join_{suffix}")
+        self._absent = math.inf if suffix == "f64" else _ABSENT_I64
+
+    def bound_to(self, offsets, hubs, dists) -> bool:
+        """Whether these are the very arrays this binding points into."""
+        return (
+            offsets is self.offsets
+            and hubs is self.hubs
+            and dists is self.dists
+        )
+
+    def pair(self, s: int, t: int):
+        """Equation 1 for one pair: exact ``int`` (``float`` for float64
+        labels), ``inf`` when the labels share no hub."""
+        o, h, d = self._ptrs
+        best = self._pair(o, h, d, s, t)
+        return math.inf if best == self._absent else best
+
+    def batch(self, pairs: np.ndarray) -> np.ndarray:
+        """Equation 1 for each row of a non-empty ``(k, 2)`` int64 array,
+        as ``float64`` (``0.0`` where ``s == t``)."""
+        flags = pairs.flags
+        if not (flags.c_contiguous and flags.writeable):
+            pairs = np.array(pairs, order="C")
+        out = np.empty(len(pairs), dtype=np.float64)
+        o, h, d = self._ptrs
+        # from_buffer shares the arrays' memory, a few µs cheaper per call
+        # than ndarray.ctypes; it needs writable C-contiguous buffers.
+        self._batch(o, h, d, len(pairs), _i64_buf(pairs), _f64_buf(out))
+        return out
+
+
+def hub_join(offsets, hubs, dists) -> Optional[BoundHubJoin]:
+    """Bind the hub join to a frozen labeling's ``offsets``/``hubs``/``dists``.
+
+    ``None`` when the arrays are not the kernel's layout (C-contiguous
+    ``int64`` offsets, ``int32`` hubs, ``int32``/``int64``/``float64``
+    distances); the caller then runs the numpy reference.
+    """
+    suffix = _HUB_JOIN_SUFFIX.get(dists.dtype)
+    if (
+        suffix is None
+        or offsets.dtype != np.int64
+        or hubs.dtype != np.int32
+        or not offsets.flags.c_contiguous
+        or not hubs.flags.c_contiguous
+        or not dists.flags.c_contiguous
+    ):
+        return None
+    return BoundHubJoin(offsets, hubs, dists, suffix)
 
 
 def pll(indptr, indices, vertex_at):

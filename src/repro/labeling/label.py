@@ -132,8 +132,8 @@ class Labeling:
         self.offsets: Optional[np.ndarray] = None
         self.hubs_flat: Optional[np.ndarray] = None
         self.dists_flat: Optional[np.ndarray] = None
-        #: lazily built acceleration structures for batch queries
-        #: (owned by :mod:`repro.labeling.query`); valid only while frozen.
+        #: the compiled hub join bound to the flat arrays (owned by
+        #: :mod:`repro.labeling.query`); valid only while frozen.
         self._batch_cache = None
 
     # -- construction helpers ---------------------------------------------
@@ -154,8 +154,10 @@ class Labeling:
     ) -> "Labeling":
         """Build a labeling directly in the frozen form (zero-copy).
 
-        ``offsets`` must have length ``n+1`` with ``offsets[0] == 0`` and
-        ``offsets[-1] == len(hubs) == len(dists)``.
+        ``offsets`` must have length ``n+1``, start at ``0``, never
+        decrease and end at ``len(hubs) == len(dists)``: every store load
+        comes through here, and the compiled hub join reads label slices
+        at these offsets unchecked.
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         hubs = np.asarray(hubs)
@@ -170,6 +172,8 @@ class Labeling:
                 "flat arrays inconsistent: offsets[-1] "
                 f"{int(offsets[-1])}, hubs {len(hubs)}, dists {len(dists)}"
             )
+        if np.any(np.diff(offsets) < 0):
+            raise LabelingError("offsets decrease: label slices overlap")
         labeling = cls.empty(ordering)
         labeling.offsets = offsets
         labeling.hubs_flat = hubs

@@ -13,11 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.builder import build_sief
 from repro.core.query import SIEFQueryEngine
 from repro.graph import generators
 from repro.labeling.pll import build_pll
-from repro.labeling.query import batch_dist_query, validate_pairs
+from repro.labeling.query import batch_dist_query, dist_query, validate_pairs
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ class TestBatchDistQuery:
         assert (batch_dist_query(labeling, pairs) == 0.0).all()
 
     def test_small_batch_out_of_range_is_clear(self, world):
-        """The k < scalar-threshold shortcut must validate too."""
+        """A one-pair batch must validate too."""
         _g, labeling, _index, _engine = world
         n = labeling.num_vertices
         with pytest.raises(IndexError, match="out of range"):
@@ -79,6 +80,32 @@ class TestBatchDistQuery:
         pairs = [(0, 1)] * 50 + [(n + 3, 0)]
         with pytest.raises(IndexError, match="out of range"):
             batch_dist_query(labeling, pairs)
+
+
+class TestScalarRangeCheck:
+    """The scalar entry points raise like :func:`validate_pairs` instead
+    of wrapping a negative id around to vertex ``n - 1``."""
+
+    BAD = [(-1, 5), (5, -1), (-1, -1), (0, 18), (18, 0)]
+
+    @pytest.mark.parametrize("pair", BAD)
+    def test_dist_query_on_both_backends_and_tiers(self, world, pair):
+        _g, labeling, _index, _engine = world
+        backends = [labeling.copy().thaw(), labeling.copy().freeze()]
+        for tier in ("numpy", "auto"):
+            with kernels.use_tier(tier):
+                for lab in backends:
+                    with pytest.raises(IndexError, match="out of range"):
+                        dist_query(lab, *pair)
+
+    @pytest.mark.parametrize("pair", BAD)
+    def test_engine_distance(self, world, pair):
+        g, _labeling, _index, engine = world
+        edge = next(iter(g.edges()))
+        with pytest.raises(IndexError, match="out of range"):
+            engine.distance(*pair, edge)
+        with pytest.raises(IndexError, match="out of range"):
+            engine.distance_with_case(*pair, edge)
 
 
 class TestEngineBatchQuery:

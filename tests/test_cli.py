@@ -73,6 +73,34 @@ def test_build_query_stats_pipeline(graph_file, tmp_path, capsys):
     assert "SLEN / OLEN" in stats_out
 
 
+def test_query_and_stats_open_every_store_format(
+    graph_file, tmp_path, capsys
+):
+    """`.sief`, `.npz` and both kinds of `.siefseg` the CLI writes load
+    in `query` and `stats` and print what the `.sief` store prints."""
+    from repro.graph.io import read_edge_list
+
+    path, _original = graph_file
+    g, _names = read_edge_list(path)
+    ref = tmp_path / "g.sief"
+    stores = [ref, tmp_path / "g.npz", tmp_path / "g.siefseg"]
+    assert main(["build", str(path), "-o", str(ref)]) == 0
+    for store in stores[1:]:
+        assert main(["freeze", str(ref), "-o", str(store)]) == 0
+    stores.append(tmp_path / "spill.siefseg")
+    assert main(["build", str(path), "--spill", str(stores[-1])]) == 0
+    capsys.readouterr()
+    u, v = next(iter(g.edges()))
+    pair = ["--pair", "0", str(g.num_vertices - 1)]
+    outputs = []
+    for store in stores:
+        assert main(["query", str(store), "--fail", str(u), str(v), *pair]) == 0
+        assert main(["stats", str(store)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "d(G -" in outputs[0] and "SLEN / OLEN" in outputs[0]
+    assert outputs == [outputs[0]] * len(stores)
+
+
 def test_build_with_bfs_aff(graph_file, tmp_path, capsys):
     path, _ = graph_file
     index_file = tmp_path / "aff.sief"

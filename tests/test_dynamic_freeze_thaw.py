@@ -4,8 +4,8 @@ The flat numpy backend (``freeze``) and the insertion repair
 (``labeling/dynamic.py``) meet in production: a serving index is frozen
 for batch throughput, an edge arrives, the repair must thaw, mutate,
 and the re-frozen labeling must answer exactly like a from-scratch
-build.  These tests pin that lifecycle down, including the batch-cache
-invalidation that :meth:`thaw` performs.
+build.  These tests pin that lifecycle down, including the hub-join
+binding that :meth:`thaw` drops.
 """
 
 from __future__ import annotations
@@ -95,19 +95,30 @@ class TestFreezeThawInterleaving:
         assert np.array_equal(got, want)
 
     def test_thaw_invalidates_batch_cache(self):
-        """A stale dense-prefix cache would answer with pre-insertion
-        distances; thaw must drop it.  The dense cache belongs to the
-        numpy batch path, so this test pins that tier (a compiled
-        hub-join never builds the cache in the first place)."""
-        from repro.kernels import use_tier
+        """A stale hub-join binding would answer from the pre-insertion
+        arrays; thaw must drop it and the re-frozen labeling must be
+        bound again.  Both tiers, scalar and batch, answer with the new
+        distances."""
+        from repro import kernels
 
-        with use_tier("numpy"):
-            g = generators.path_graph(10)
-            labeling = build_pll(g)
-            pairs = [(0, 9), (9, 0), (4, 8), (1, 1)]
-            before = batch_dist_query(labeling, pairs)  # builds the cache
-            assert before[0] == 9.0
+        g = generators.path_graph(10)
+        labeling = build_pll(g)
+        pairs = [(0, 9), (9, 0), (4, 8), (1, 1)]
+        with kernels.use_tier("auto"):
+            assert dist_query(labeling.freeze(), 0, 9) == 9  # binds
+            stale = labeling._batch_cache
             insert_edge(g, labeling, 0, 9)  # thaws internally
-            after = batch_dist_query(labeling, pairs)  # re-freezes, rebuilds
-            assert after[0] == 1.0
-            assert labeling._batch_cache is not None  # fresh, not stale
+            assert labeling._batch_cache is None
+            labeling.freeze()
+            for tier in ("numpy", "auto"):
+                with kernels.use_tier(tier):
+                    got = batch_dist_query(labeling, pairs)
+                    assert got.tolist() == [1.0, 1.0, 4.0, 0.0]
+                    scalar = [dist_query(labeling, s, t) for s, t in pairs]
+                    assert scalar == [1, 1, 4, 0]
+            if kernels.effective_tier() != "numpy":
+                join = labeling._batch_cache
+                assert join is not stale
+                assert join.bound_to(
+                    labeling.offsets, labeling.hubs_flat, labeling.dists_flat
+                )

@@ -34,7 +34,7 @@ from repro.graph.frontier import (
 from repro.graph.graph import Graph
 from repro.graph import generators
 from repro.labeling.pll import build_pll
-from repro.labeling.query import batch_dist_query
+from repro.labeling.query import batch_dist_query, dist_query
 from repro.obs import TraceRecorder, hooks as _obs_hooks
 from repro.order.strategies import by_degree
 
@@ -196,6 +196,9 @@ def test_hub_join_kernel_matches_numpy(dtype):
     g = generators.erdos_renyi_gnm(80, 200, seed=10)
     labeling = build_pll(g, by_degree(g))
     labeling.freeze()
+    with kernels.use_tier(ACCEL):
+        first = dist_query(labeling, 3, 40)  # binds the int32 arrays
+    bound = labeling._batch_cache
     if dtype != np.int32:
         labeling.dists_flat = labeling.dists_flat.astype(dtype)
     rng = random.Random(11)
@@ -205,13 +208,32 @@ def test_hub_join_kernel_matches_numpy(dtype):
     # include identity and (likely) disconnected-free pairs
     pairs[:3] = [(0, 0), (5, 5), (79, 79)]
     with kernels.use_tier("numpy"):
+        assert dist_query(labeling, 3, 40) == first
         want = batch_dist_query(labeling, pairs)
+        want_scalar = [dist_query(labeling, s, t) for s, t in pairs]
+        want_small = [batch_dist_query(labeling, pairs[:k]) for k in (1, 2, 3)]
     with kernels.use_tier(ACCEL):
         got = batch_dist_query(labeling, pairs)
+        got_scalar = [dist_query(labeling, s, t) for s, t in pairs]
+        got_small = [batch_dist_query(labeling, pairs[:k]) for k in (1, 2, 3)]
+    # The reassigned distances must be joined, not the bound int32 ones.
+    assert (labeling._batch_cache is bound) == (dtype == np.int32)
+    assert labeling._batch_cache.bound_to(
+        labeling.offsets, labeling.hubs_flat, labeling.dists_flat
+    )
     want_arr = np.asarray(want, dtype=np.float64)
     got_arr = np.asarray(got, dtype=np.float64)
     # bitwise equality, infinities included
     np.testing.assert_array_equal(got_arr, want_arr)
+    # Scalar answers keep their Python type on both tiers: int for
+    # integral labels, float for float64 ones, INF when no hub is shared.
+    assert got_scalar == want_scalar
+    assert [type(d) for d in got_scalar] == [type(d) for d in want_scalar]
+    np.testing.assert_array_equal(
+        np.asarray(got_scalar, dtype=np.float64), want_arr
+    )
+    for got_k, want_k in zip(got_small, want_small):
+        np.testing.assert_array_equal(got_k, want_k)
 
 
 def test_hub_join_disconnected_pairs_stay_infinite():

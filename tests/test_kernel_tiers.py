@@ -29,14 +29,23 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 @pytest.fixture(autouse=True)
-def _clean_tier_state(monkeypatch):
-    """Isolate selection state: env cleared, caches dropped on both sides."""
-    monkeypatch.delenv("SIEF_KERNELS", raising=False)
+def _clean_tier_state():
+    """Isolate selection state: env cleared, caches dropped on both sides.
+
+    ``SIEF_KERNELS`` is restored here, after the test's own monkeypatch
+    undo: a test's ``monkeypatch.setenv`` can record a value that
+    ``set_tier`` exported, and undoing it would leave that tier selected
+    for every later test module.
+    """
+    saved = os.environ.pop("SIEF_KERNELS", None)
     kernels.set_tier(None)
     kernels._resolution.clear()
     yield
     kernels.set_tier(None)
     kernels._resolution.clear()
+    os.environ.pop("SIEF_KERNELS", None)
+    if saved is not None:
+        os.environ["SIEF_KERNELS"] = saved
 
 
 # ---------------------------------------------------------------------------

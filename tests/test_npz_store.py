@@ -1,12 +1,11 @@
-"""The frozen npz store: mmap zero-copy, parity, shm transport.
+"""The frozen npz store: mmap zero-copy, parity, corruption.
 
 The serving daemon's whole memory story rests on one claim: loading an
 index with ``mmap_mode="r"`` maps the label arrays straight out of the
 file, so N worker processes share one physical copy through the page
 cache.  These tests pin that claim down — OWNDATA flags, memmap bases,
 bit-identical answers, byte-identical re-serialization — plus the
-failure modes (compressed stores, bad files) and the PR 4 shared-memory
-transport reused for the packed arrays.
+failure modes (compressed stores, bad files, corrupt label offsets).
 """
 
 from __future__ import annotations
@@ -19,16 +18,14 @@ import pytest
 from repro.core.builder import SIEFBuilder
 from repro.core.index import SIEFIndex
 from repro.core.npzstore import (
-    attach_index,
     load_index_npz,
     pack_index,
-    publish_index,
     save_index_npz,
     unpack_index,
 )
 from repro.core.query import SIEFQueryEngine
 from repro.core.serialize import index_to_bytes
-from repro.exceptions import SerializationError
+from repro.exceptions import LabelingError, SerializationError
 from repro.graph import generators
 
 
@@ -122,6 +119,20 @@ def test_load_rejects_garbage(tmp_path):
         load_index_npz(path, mmap_mode="r")
 
 
+def test_decreasing_label_offsets_are_rejected(tmp_path, er_index):
+    """Offsets that still start at 0 and end at len(hubs) but decrease
+    in between would send the hub join outside the label arrays."""
+    arrays = pack_index(er_index)
+    offsets = arrays["offsets"].copy()
+    offsets[1] = 10**9
+    arrays["offsets"] = offsets
+    path = tmp_path / "corrupt.npz"
+    np.savez(str(path), **arrays)
+    for mmap_mode in (None, "r"):
+        with pytest.raises(LabelingError, match="offsets"):
+            load_index_npz(path, mmap_mode=mmap_mode)
+
+
 def test_mmap_mode_validation(tmp_path, er_index):
     path = tmp_path / "idx.npz"
     save_index_npz(er_index, path)
@@ -205,57 +216,6 @@ def test_mmap_answers_identical_scalar_and_batch(tmp_path):
                 x = base_eng.distance(int(s), int(t), edge)
                 y = map_eng.distance(int(s), int(t), edge)
                 assert x == y or (math.isinf(x) and math.isinf(y))
-
-
-# ---------------------------------------------------------------------------
-# shared-memory transport (PR 4 arena reuse)
-# ---------------------------------------------------------------------------
-
-
-def test_publish_attach_roundtrip(er_index):
-    arena = publish_index(er_index)
-    try:
-        reader, attached = attach_index(arena.spec())
-        try:
-            assert_same_answers(er_index, attached)
-        finally:
-            reader.close()
-    finally:
-        arena.close()
-        arena.unlink()
-
-
-def test_attached_index_is_zero_copy(er_index):
-    arena = publish_index(er_index)
-    try:
-        reader, attached = attach_index(arena.spec())
-        try:
-            assert not attached.labeling.hubs_flat.flags["OWNDATA"]
-        finally:
-            reader.close()
-    finally:
-        arena.close()
-        arena.unlink()
-
-
-def test_two_attachments_one_segment(er_index):
-    """Two attached readers see the same bytes from one shm segment."""
-    arena = publish_index(er_index)
-    try:
-        r1, a1 = attach_index(arena.spec())
-        r2, a2 = attach_index(arena.spec())
-        try:
-            assert r1.name == r2.name == arena.name
-            assert np.array_equal(
-                a1.labeling.hubs_flat, a2.labeling.hubs_flat
-            )
-            assert_same_answers(a1, a2)
-        finally:
-            r1.close()
-            r2.close()
-    finally:
-        arena.close()
-        arena.unlink()
 
 
 # ---------------------------------------------------------------------------

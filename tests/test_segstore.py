@@ -16,6 +16,7 @@ import pytest
 from repro.core.builder import build_sief
 from repro.core.index import SIEFIndex
 from repro.core.segstore import (
+    LABELING_FILE,
     SEGMENTS_FILE,
     TOC_FILE,
     SegmentStore,
@@ -23,7 +24,7 @@ from repro.core.segstore import (
     build_sief_sharded,
 )
 from repro.core.serialize import index_to_bytes
-from repro.exceptions import FailureCaseNotIndexed, StoreError
+from repro.exceptions import FailureCaseNotIndexed, LabelingError, StoreError
 from repro.graph import generators
 from repro.labeling.pll import build_pll
 from repro.order.strategies import by_degree
@@ -117,6 +118,18 @@ class TestCorruption:
         store = SegmentStore(store_path)
         with pytest.raises(StoreError, match="mismatch"):
             store.load_case(4000, 4001)
+
+    def test_decreasing_label_offsets_are_rejected(self, store_path):
+        """The labeling member passes the first/last offset checks but
+        its offsets decrease, which would send the hub join outside the
+        label arrays."""
+        path = store_path / LABELING_FILE
+        arrays = dict(np.load(path))
+        arrays["offsets"][1] = 10**9
+        np.savez(path, **arrays)
+        for mmap in (True, False):
+            with pytest.raises(LabelingError, match="offsets"):
+                SegmentStore(store_path).labeling(mmap=mmap)
 
     def test_missing_toc_is_rejected(self, store_path):
         (store_path / TOC_FILE).unlink()
