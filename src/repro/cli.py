@@ -20,7 +20,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, VertexNotFound
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -115,6 +115,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked_pair(pair, index):
+    """``--pair``, or :class:`VertexNotFound` for an id outside the index."""
+    n = index.labeling.num_vertices
+    for x in pair:
+        if not 0 <= x < n:
+            raise VertexNotFound(x, n)
+    return pair
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.core.index import SIEFIndex
     from repro.core.query import SIEFQueryEngine
@@ -123,7 +132,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     index = SIEFIndex.load(args.index)
     engine = SIEFQueryEngine(index)
     u, v = args.fail
-    s, t = args.pair
+    s, t = _checked_pair(args.pair, index)
     distance, case = engine.distance_with_case(s, t, (u, v))
     shown = "inf" if distance == INF else str(distance)
     print(f"d(G - ({u},{v}); {s}, {t}) = {shown}   [case {case.value}]")
@@ -137,9 +146,10 @@ def _cmd_path(args: argparse.Namespace) -> int:
     from repro.labeling.paths import failure_shortest_path
 
     graph, _names = read_edge_list(args.graph)
-    engine = SIEFQueryEngine(SIEFIndex.load(args.index))
+    index = SIEFIndex.load(args.index)
+    engine = SIEFQueryEngine(index)
     u, v = args.fail
-    s, t = args.pair
+    s, t = _checked_pair(args.pair, index)
     path = failure_shortest_path(graph, engine, s, t, (u, v))
     if path is None:
         print(f"no path: failing ({u},{v}) disconnects {s} from {t}")

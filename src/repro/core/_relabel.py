@@ -23,7 +23,9 @@ therefore never undercuts ``d_{G'}(r, t)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.labeling.label import Labeling
 from repro.labeling.query import dist_query
@@ -44,6 +46,7 @@ def is_redundant(
     r: int,
     candidate_dist: int,
     via_cache: Dict[int, Distance],
+    row: Optional[np.ndarray] = None,
 ) -> bool:
     """The late redundancy test described in the module docstring.
 
@@ -52,13 +55,23 @@ def is_redundant(
     is one of the (few) earlier roots of the same side, so the cache turns
     the dominant ``O(cross pairs × SL size)`` label merges into
     ``O(roots²)`` of them.
+
+    The batched path passes ``row``, the root's sweep distances
+    ``d_{G'}(r, ·)`` (``-1`` = not settled), and reads it first: a hub
+    the sweep settled needs no label query, because the failure changes
+    no distance on ``r``'s side.  ``via_cache`` then holds only the hubs
+    the sweep's early exit left unsettled, so its size is the number of
+    label queries this root ran.
     """
     vertex = labeling.ordering.vertex
     for h_rank, delta in zip(sl_ranks, sl_dists):
         via = via_cache.get(h_rank)
         if via is None:
-            via = dist_query(labeling, r, vertex(h_rank))
-            via_cache[h_rank] = via
+            hv = vertex(h_rank)
+            via = -1 if row is None else int(row[hv])
+            if via < 0:
+                via = dist_query(labeling, r, hv)
+                via_cache[h_rank] = via
         if via + delta <= candidate_dist:
             return True
     return False

@@ -16,11 +16,15 @@ equivalent of Algorithm 2's "stop when all targets are assigned".
 no pruning), and the late redundancy filter is the very same
 :func:`repro.core._relabel.is_redundant` applied in the very same order:
 sides in ``(AV(u) → AV(v))`` then ``(AV(v) → AV(u))`` direction, roots
-ascending rank, targets ascending rank, a fresh per-root ``via`` cache.
-Every append therefore lands with the same ``(rank, dist)`` in the same
-sequence, so the produced :class:`SupplementalIndex` equals BFS AFF's —
-and, by the Algorithm 2/3 equivalence, BFS ALL's.  The parity suite and
-the conformance harness assert this on the fuzz corpus.  The only
+ascending rank, targets ascending rank.  Each ``dist(r, hub)`` the test
+needs is read from ``r``'s sweep row first — every stored hub is an
+earlier root on ``r``'s side, where the failure changes no distance —
+and only a hub the early exit left unsettled costs a label query
+(counted as ``sief.relabel.label_merges``).  Every append therefore
+lands with the same ``(rank, dist)`` in the same sequence, so the
+produced :class:`SupplementalIndex` equals BFS AFF's — and, by the
+Algorithm 2/3 equivalence, BFS ALL's.  The parity suite and the
+conformance harness assert this on the fuzz corpus.  The only
 permitted difference is ``search_expanded`` (settlement counting differs
 between one shared sweep and per-root searches), which is excluded from
 index equality by design.
@@ -57,22 +61,20 @@ def _relabel_side_batched(
 ) -> None:
     """One direction (roots side A, targets side B), 64 roots per sweep."""
     rank = labeling.ordering.rank
-    n = len(indptr) - 1
     target_ranks = [rank(t) for t in targets]  # ascending (pre-sorted)
-    target_arr = np.asarray(targets, dtype=np.int64)
-    target_rank_arr = np.asarray(target_ranks, dtype=np.int64)
     max_rank = target_ranks[-1] if target_ranks else -1
     # Roots ranked above every target have no work; roots are ascending
     # by rank so the live prefix is contiguous.
     root_ranks = [rank(r) for r in roots]
     live = bisect_right(root_ranks, max_rank - 1) if max_rank >= 0 else 0
-    expanded = 0
+    if not live:
+        return
+    reg = _obs.registry
 
-    # Whole-pass compiled kernel: profiling puts most of the direction
-    # pass in the redundancy filter, not the sweep, so the accelerated
-    # tier runs sweeps *and* filter in one call and streams back the
-    # exact append sequence (same roots-ascending, targets-ascending
-    # order, same via cache semantics).  Only the integral frozen-label
+    # Whole-pass compiled kernel: the accelerated tier runs sweeps *and*
+    # filter in one call and streams back the exact append sequence
+    # (same roots-ascending, targets-ascending order, same sweep-row
+    # reads and label-merge fallbacks).  Only the integral frozen-label
     # case is compiled; weighted labelings use the numpy path below.
     tier, kern = _kernels.resolve("relabel")
     if (
@@ -80,36 +82,38 @@ def _relabel_side_batched(
         and labeling.dists_flat is not None
         and labeling.dists_flat.dtype in _kernels.RELABEL_DTYPES
     ):
-        if live:
-            # The full side goes in (not just the live prefix): the
-            # numpy loop's roots[b0 : b0 + 64] slice is unclamped, so a
-            # batch straddling the live boundary sweeps dead roots too,
-            # and search_expanded must match that count bit-for-bit.
-            out_t, out_rank, out_dist, settled = kern(
-                indptr,
-                indices,
-                int(avoid_pair[0]),
-                int(avoid_pair[1]),
-                np.asarray(roots, dtype=np.int64),
-                np.asarray(root_ranks, dtype=np.int64),
-                live,
-                target_arr,
-                target_rank_arr,
-                labeling.offsets,
-                labeling.hubs_flat,
-                labeling.dists_flat,
-                labeling.ordering.vertex_array(),
-            )
-            for t, r_rank, d in zip(
-                out_t.tolist(), out_rank.tolist(), out_dist.tolist()
-            ):
-                si.label_of(t).append(r_rank, d)
-            si.search_expanded += settled
-            reg = _obs.registry
-            if reg is not None:
-                reg.counter(f"kernels.relabel.{tier}").inc()
+        # The full side goes in (not just the live prefix): the numpy
+        # loop's roots[b0 : b0 + 64] slice is unclamped, so a batch
+        # straddling the live boundary sweeps dead roots too, and
+        # search_expanded must match that count bit-for-bit.
+        out_t, out_rank, out_dist, expanded, merges = kern(
+            indptr,
+            indices,
+            int(avoid_pair[0]),
+            int(avoid_pair[1]),
+            np.asarray(roots, dtype=np.int64),
+            np.asarray(root_ranks, dtype=np.int64),
+            live,
+            np.asarray(targets, dtype=np.int64),
+            np.asarray(target_ranks, dtype=np.int64),
+            labeling.offsets,
+            labeling.hubs_flat,
+            labeling.dists_flat,
+        )
+        for t, r_rank, d in zip(
+            out_t.tolist(), out_rank.tolist(), out_dist.tolist()
+        ):
+            si.label_of(t).append(r_rank, d)
+        si.search_expanded += expanded
+        if reg is not None:
+            reg.counter(f"kernels.relabel.{tier}").inc()
+            reg.counter("sief.relabel.label_merges").inc(merges)
         return
 
+    n = len(indptr) - 1
+    target_arr = np.asarray(targets, dtype=np.int64)
+    target_rank_arr = np.asarray(target_ranks, dtype=np.int64)
+    expanded = merges = 0
     for b0 in range(0, live, WORD_BITS):
         batch = roots[b0 : b0 + WORD_BITS]
         branks = root_ranks[b0 : b0 + WORD_BITS]
@@ -142,17 +146,21 @@ def _relabel_side_batched(
             p = bisect_right(target_ranks, r_rank)
             if p >= len(targets):
                 continue
-            dvals = dist[i][target_arr[p:]].tolist()
+            row = dist[i]
+            dvals = row[target_arr[p:]].tolist()
             via_cache: dict = {}
             for t, d in zip(targets[p:], dvals):
                 if d < 0:
                     continue  # failure disconnected r from t
                 sl = si.label_of(t)
                 if not is_redundant(
-                    labeling, sl.ranks, sl.dists, r, d, via_cache
+                    labeling, sl.ranks, sl.dists, r, d, via_cache, row
                 ):
                     sl.append(r_rank, d)
+            merges += len(via_cache)
     si.search_expanded += expanded
+    if reg is not None:
+        reg.counter("sief.relabel.label_merges").inc(merges)
 
 
 def build_supplemental_batched(

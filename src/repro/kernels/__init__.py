@@ -3,8 +3,9 @@
 Profiling the 10k-vertex batched build and the batch query path puts
 essentially all the time in four tight loops: single-source CSR BFS
 (IDENTIFY), the 64-lane bit-parallel sweep, the RELABEL direction pass
-(sweep + late redundancy filter — the filter dominates), and the
-hub join behind :func:`repro.labeling.query.dist_query` and
+(sweeps + late redundancy filter — the sweeps dominate once the filter
+reads its distances from them), and the hub join behind
+:func:`repro.labeling.query.dist_query` and
 :func:`~repro.labeling.query.batch_dist_query` (whose kernel, called
 with a frozen labeling's flat arrays, returns the join bound to them).
 This package provides a compiled implementation of those kernels and

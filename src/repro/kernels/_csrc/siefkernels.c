@@ -7,8 +7,10 @@
  *                     bfs_distances_csr).
  *   sief_bitparallel- 64-lane bit-parallel BFS sweep (bfs_bitparallel_csr).
  *   sief_relabel    - one full RELABEL direction pass: batched sweeps plus
- *                     the late redundancy filter with the per-root via
- *                     cache (repro.core.batched._relabel_side_batched).
+ *                     the late redundancy filter, which reads dist(r, hub)
+ *                     from the root's sweep row
+ *                     (repro.core.batched._relabel_side_batched), its
+ *                     entries exported via sief_relabel_export.
  *   sief_hub_join   - per-pair sorted-key merge join of two label slices
  *                     (repro.labeling.query.batch_dist_query), and
  *                     sief_hub_join_pair, the same join for one pair
@@ -26,8 +28,9 @@
  *
  * Compiled on demand by repro.kernels.cext_backend with the system C
  * compiler; no Python.h - everything crosses the boundary as raw typed
- * pointers via ctypes.  Return codes: 0 ok, -1 output capacity exceeded
- * (sief_relabel only; caller grows and retries), -2 allocation failure.
+ * pointers via ctypes.  Return codes: 0 ok, -2 allocation failure; the
+ * two builders that size their own output (sief_relabel, sief_pll_build)
+ * return a handle instead, NULL on allocation failure.
  */
 
 #include <math.h>
@@ -65,15 +68,6 @@ static int64_t upper_bound_i64(const int64_t *arr, int64_t len, int64_t key)
             hi = mid;
     }
     return lo;
-}
-
-/* Exact position of `key` in a sorted array, or -1. */
-static int64_t bsearch_i64(const int64_t *arr, int64_t len, int64_t key)
-{
-    int64_t pos = lower_bound_i64(arr, len, key);
-    if (pos < len && arr[pos] == key)
-        return pos;
-    return -1;
 }
 
 /* min over shared hubs of dists_a + dists_b (Equation 1) on the frozen
@@ -178,20 +172,24 @@ static void sweep_scratch_free(sweep_scratch *s)
 
 /* One level-synchronous bit-parallel sweep over k <= 64 roots.
  *
- * dist is a k*n row-major int32 matrix prefilled with -1.  mask_pos /
- * mask_keep (sorted flat positions and the lane bits that *survive*
+ * dist is a k*width row-major int32 matrix prefilled with -1.  Vertex
+ * w's column is slot[w]; with slot NULL it is w itself and width is n.
+ * A vertex whose slot is -1 is swept and counted but not recorded, so
+ * a caller reading few vertices keeps a matrix of only those.  mask_pos
+ * / mask_keep (sorted flat positions and the lane bits that *survive*
  * there) implement per-lane edge avoidance.  needed (may be NULL) is
  * the uint64 per-vertex bitmask of lanes that still owe that vertex a
  * distance; the sweep stops once every needed bit is settled.  Returns
  * the settlement count (roots included), matching the numpy kernel's
- * `settled`, or -2 on allocation failure (when scratch is NULL).
+ * `settled`.
  */
 static int64_t bitparallel_sweep(int64_t n, const int64_t *indptr,
                                  const int32_t *indices, int64_t k,
                                  const int64_t *roots, int64_t npos,
                                  const int64_t *mask_pos,
                                  const uint64_t *mask_keep,
-                                 const uint64_t *needed, int32_t *dist,
+                                 const uint64_t *needed, const int64_t *slot,
+                                 int64_t width, int32_t *dist,
                                  sweep_scratch *s)
 {
     memset(s->visited, 0, (size_t)n * 8);
@@ -210,7 +208,9 @@ static int64_t bitparallel_sweep(int64_t n, const int64_t *indptr,
         }
         s->fb[r] |= bit;
         s->visited[r] |= bit;
-        dist[i * n + r] = 0;
+        int64_t col = slot ? slot[r] : r;
+        if (col >= 0)
+            dist[i * width + col] = 0;
     }
     int64_t rem_nonzero = 0;
     if (needed != NULL) {
@@ -233,16 +233,20 @@ static int64_t bitparallel_sweep(int64_t n, const int64_t *indptr,
         for (int64_t c = 0; c < cur_len; c++) {
             int64_t v = s->cur[c];
             uint64_t bits = s->fb[v];
-            int64_t end = indptr[v + 1];
-            for (int64_t pos = indptr[v]; pos < end; pos++) {
+            int64_t pos = indptr[v], end = indptr[v + 1];
+            /* The masked positions inside this adjacency slice, walked
+             * in step with it: one compare per edge, not a search. */
+            int64_t m = lower_bound_i64(mask_pos, npos, pos);
+            int64_t next = m < npos ? mask_pos[m] : end;
+            for (; pos < end; pos++) {
                 uint64_t b = bits;
-                if (npos > 0) {
-                    int64_t mi = bsearch_i64(mask_pos, npos, pos);
-                    if (mi >= 0) {
-                        b &= mask_keep[mi];
-                        if (b == 0)
-                            continue;
-                    }
+                if (pos == next) {
+                    b &= mask_keep[m]; /* first match, as a search finds */
+                    while (m < npos && mask_pos[m] == pos)
+                        m++;
+                    next = m < npos ? mask_pos[m] : end;
+                    if (b == 0)
+                        continue;
                 }
                 int32_t w = indices[pos];
                 uint64_t nw = b & ~s->visited[w];
@@ -265,12 +269,11 @@ static int64_t bitparallel_sweep(int64_t n, const int64_t *indptr,
             s->visited[w] |= nw;
             s->fb[w] = nw;
             s->cur[cur_len++] = w;
-            uint64_t x = nw;
-            while (x) {
-                int lane = __builtin_ctzll(x);
-                dist[(int64_t)lane * n + w] = level;
-                x &= x - 1;
-                settled++;
+            settled += __builtin_popcountll(nw);
+            int64_t col = slot ? slot[w] : w;
+            if (col >= 0) {
+                for (uint64_t x = nw; x; x &= x - 1)
+                    dist[(int64_t)__builtin_ctzll(x) * width + col] = level;
             }
             if (needed != NULL && s->remaining[w]) {
                 s->remaining[w] &= ~nw;
@@ -301,7 +304,8 @@ int64_t sief_bitparallel(int64_t n, const int64_t *indptr,
     memset(s.fb, 0, (size_t)n * 8);
     int64_t settled = bitparallel_sweep(n, indptr, indices, k, roots, npos,
                                         mask_pos, mask_keep,
-                                        has_needed ? needed : NULL, dist, &s);
+                                        has_needed ? needed : NULL, NULL, n,
+                                        dist, &s);
     sweep_scratch_free(&s);
     return settled;
 }
@@ -310,15 +314,40 @@ int64_t sief_bitparallel(int64_t n, const int64_t *indptr,
 /* sief_relabel                                                       */
 /* ------------------------------------------------------------------ */
 
+typedef struct {
+    int64_t next; /* next entry of the same target, -1 at the chain's end */
+    int64_t t;    /* target vertex */
+    int64_t rank; /* rank of the root that appended it: the hub */
+    int64_t root; /* that root's index in `roots`, its column in a row */
+    int64_t dist;
+} relabel_entry;
+
+typedef struct {
+    relabel_entry *e;
+    int64_t len;
+    int64_t cap;
+} relabel_out;
+
+void sief_relabel_free(void *handle)
+{
+    relabel_out *out = (relabel_out *)handle;
+    if (out != NULL)
+        free(out->e);
+    free(out);
+}
+
 /* One RELABEL direction pass (roots side A ascending rank, targets
  * side B ascending rank), 64 roots per bit-parallel sweep, followed by
  * the identical late redundancy filter in identical order.
  *
- * Appended entries stream into out_t / out_rank / out_dist (capacity
- * `cap`); per-target chains over that stream reproduce SL(t) in append
- * order for the filter's walk.  The via cache memoizes
- * dist(root, vertex(hub_rank)) per root, keyed by the hub's position in
- * the roots array (every stored hub *is* an earlier root of this pass).
+ * The sweep records only the pass's own vertices: root j's column is
+ * j and target j's is nroots + j, so one batch's matrix is
+ * k x (nroots + ntargets).  Every hub the filter meets in SL(t) is an
+ * earlier root of this pass, on the same side as the current root r,
+ * where the failure changes no distance (Case 3): root i's row already
+ * holds dist(r, hub) wherever the sweep settled the hub.  Where the
+ * early exit left it unsettled, the filter runs the label merge and
+ * stores its answer in that cell, so the row is the per-root cache.
  *
  * `roots` is the FULL side (ascending rank); `nlive` is the live
  * prefix (roots ranked below some target).  Batches start only inside
@@ -327,44 +356,47 @@ int64_t sief_bitparallel(int64_t n, const int64_t *indptr,
  * the dead roots beyond it as extra lanes — they append nothing, yet
  * their settlements count, and search_expanded must match bit-for-bit.
  *
- * stats[0] = appended entries, stats[1] = total settlements (the
- * `search_expanded` contribution).  Returns 0, -1 if cap was too small
- * (caller re-runs with a larger buffer), -2 on allocation failure.
+ * Appended entries go to a growable buffer behind an opaque handle;
+ * per-target chains through it reproduce SL(t) in append order for the
+ * filter's walk.  stats[0] = appended entries (the size the caller
+ * allocates for sief_relabel_export), stats[1] = total settlements (the
+ * `search_expanded` contribution), stats[2] = label merges run by the
+ * filter.  Returns NULL on allocation failure (everything already
+ * allocated is released); release the handle with sief_relabel_free.
  */
-int sief_relabel(int64_t n, const int64_t *indptr, const int32_t *indices,
-                 int64_t avoid0, int64_t avoid1, int64_t nroots,
-                 int64_t nlive, const int64_t *roots,
-                 const int64_t *root_ranks, int64_t ntargets,
-                 const int64_t *targets, const int64_t *target_ranks,
-                 const int64_t *L_offsets, const int32_t *L_hubs,
-                 const int32_t *L_dists, const int64_t *vertex_at,
-                 int64_t cap, int64_t *out_t, int64_t *out_rank,
-                 int64_t *out_dist, int64_t *stats)
+void *sief_relabel(int64_t n, const int64_t *indptr, const int32_t *indices,
+                   int64_t avoid0, int64_t avoid1, int64_t nroots,
+                   int64_t nlive, const int64_t *roots,
+                   const int64_t *root_ranks, int64_t ntargets,
+                   const int64_t *targets, const int64_t *target_ranks,
+                   const int64_t *L_offsets, const int32_t *L_hubs,
+                   const int32_t *L_dists, int64_t *stats)
 {
-    stats[0] = 0;
-    stats[1] = 0;
+    stats[0] = stats[1] = stats[2] = 0;
+    relabel_out *out = (relabel_out *)calloc(1, sizeof(relabel_out));
+    if (out == NULL)
+        return NULL;
     if (nlive == 0 || nroots == 0 || ntargets == 0)
-        return 0;
+        return out;
 
+    int64_t width = nroots + ntargets;
     sweep_scratch s;
-    int rc = sweep_scratch_alloc(&s, n, 1);
-    int32_t *dist = (int32_t *)malloc((size_t)64 * (size_t)n * 4);
-    uint64_t *needed = (uint64_t *)malloc((size_t)n * 8);
+    int ok = sweep_scratch_alloc(&s, n, 1) == 0;
+    int32_t *dist = (int32_t *)malloc((size_t)64 * (size_t)width * 4);
+    uint64_t *needed = (uint64_t *)calloc((size_t)n, 8);
+    int64_t *slot = (int64_t *)malloc((size_t)n * 8);
     int64_t *head = (int64_t *)malloc((size_t)ntargets * 8);
     int64_t *tail = (int64_t *)malloc((size_t)ntargets * 8);
-    int64_t *chain = (int64_t *)malloc((size_t)(cap > 0 ? cap : 1) * 8);
-    int64_t *vcache = (int64_t *)malloc((size_t)nroots * 8);
-    int64_t *vstamp = (int64_t *)malloc((size_t)nroots * 8);
-    if (rc != 0 || !dist || !needed || !head || !tail || !chain || !vcache ||
-        !vstamp) {
-        rc = -2;
-        goto done;
-    }
+    if (!ok || !dist || !needed || !slot || !head || !tail)
+        goto fail;
     memset(s.fb, 0, (size_t)n * 8);
-    for (int64_t j = 0; j < ntargets; j++)
+    memset(slot, 0xFF, (size_t)n * 8); /* int64 -1 fill */
+    for (int64_t j = 0; j < nroots; j++)
+        slot[roots[j]] = j;
+    for (int64_t j = 0; j < ntargets; j++) {
+        slot[targets[j]] = nroots + j;
         head[j] = tail[j] = -1;
-    for (int64_t i = 0; i < nroots; i++)
-        vstamp[i] = -1;
+    }
 
     /* Both flat positions of the failed edge block every lane. */
     int64_t mask_pos[2];
@@ -377,16 +409,12 @@ int sief_relabel(int64_t n, const int64_t *indptr, const int32_t *indices,
         mask_pos[1] = avoid0;
     }
 
-    int64_t appended = 0;
-    int64_t settled = 0;
-    int64_t stamp = 0;
-
     for (int64_t b0 = 0; b0 < nlive; b0 += 64) {
         int64_t k = nroots - b0; /* unclamped: dead lanes ride along */
         if (k > 64)
             k = 64;
-        /* needed[t]: the prefix of batch lanes ranked below t. */
-        memset(needed, 0, (size_t)n * 8);
+        /* needed[t]: the prefix of batch lanes ranked below t.  Only
+         * target entries are ever set, and each batch rewrites them all. */
         for (int64_t j = 0; j < ntargets; j++) {
             int64_t cnt =
                 lower_bound_i64(root_ranks + b0, k, target_ranks[j]);
@@ -394,77 +422,83 @@ int sief_relabel(int64_t n, const int64_t *indptr, const int32_t *indices,
                 cnt >= 64 ? ~(uint64_t)0 : (((uint64_t)1 << cnt) - 1);
             needed[targets[j]] = mask;
         }
-        memset(dist, 0xFF, (size_t)k * (size_t)n * 4); /* int32 -1 fill */
-        settled += bitparallel_sweep(n, indptr, indices, k, roots + b0, 2,
-                                     mask_pos, mask_keep, needed, dist, &s);
+        memset(dist, 0xFF, (size_t)k * (size_t)width * 4); /* int32 -1 */
+        stats[1] += bitparallel_sweep(n, indptr, indices, k, roots + b0, 2,
+                                      mask_pos, mask_keep, needed, slot,
+                                      width, dist, &s);
 
         for (int64_t i = 0; i < k; i++) {
             int64_t r = roots[b0 + i];
             int64_t r_rank = root_ranks[b0 + i];
             int64_t p0 = upper_bound_i64(target_ranks, ntargets, r_rank);
-            if (p0 >= ntargets)
-                continue;
-            stamp++;
-            const int32_t *drow = dist + i * n;
+            int32_t *row = dist + i * width;
             for (int64_t j = p0; j < ntargets; j++) {
-                int64_t t = targets[j];
-                int32_t d = drow[t];
+                int32_t d = row[nroots + j];
                 if (d < 0)
                     continue; /* failure disconnected r from t */
                 int redundant = 0;
-                for (int64_t e = head[j]; e != -1; e = chain[e]) {
-                    int64_t h_rank = out_rank[e];
-                    int64_t ridx = bsearch_i64(root_ranks, nroots, h_rank);
-                    int64_t via;
-                    if (ridx >= 0 && vstamp[ridx] == stamp) {
-                        via = vcache[ridx];
-                    } else {
-                        int64_t hv = vertex_at[h_rank];
-                        via = (hv == r) ? 0
-                                        : merge_min_sum_i32(L_offsets, L_hubs,
-                                                            L_dists, r, hv);
-                        if (ridx >= 0) {
-                            vcache[ridx] = via;
-                            vstamp[ridx] = stamp;
-                        }
+                for (int64_t e = head[j]; e != -1; e = out->e[e].next) {
+                    const relabel_entry *ent = &out->e[e];
+                    int64_t via = row[ent->root];
+                    if (via < 0) {
+                        via = merge_min_sum_i32(L_offsets, L_hubs, L_dists, r,
+                                                roots[ent->root]);
+                        /* INT32_MAX: no shared hub, never <= d */
+                        row[ent->root] =
+                            via < INT32_MAX ? (int32_t)via : INT32_MAX;
+                        stats[2]++;
                     }
-                    if (via + out_dist[e] <= (int64_t)d) {
+                    if (via + ent->dist <= (int64_t)d) {
                         redundant = 1;
                         break;
                     }
                 }
-                if (!redundant) {
-                    if (appended >= cap) {
-                        rc = -1;
-                        goto done;
-                    }
-                    out_t[appended] = t;
-                    out_rank[appended] = r_rank;
-                    out_dist[appended] = d;
-                    chain[appended] = -1;
-                    if (head[j] == -1)
-                        head[j] = appended;
-                    else
-                        chain[tail[j]] = appended;
-                    tail[j] = appended;
-                    appended++;
+                if (redundant)
+                    continue;
+                if (out->len == out->cap) {
+                    int64_t ncap = out->cap ? 2 * out->cap : 4 * width;
+                    relabel_entry *ne = (relabel_entry *)realloc(
+                        out->e, (size_t)ncap * sizeof(relabel_entry));
+                    if (ne == NULL)
+                        goto fail;
+                    out->e = ne;
+                    out->cap = ncap;
                 }
+                int64_t a = out->len++;
+                out->e[a] = (relabel_entry){-1, targets[j], r_rank, b0 + i, d};
+                if (head[j] == -1)
+                    head[j] = a;
+                else
+                    out->e[tail[j]].next = a;
+                tail[j] = a;
             }
         }
     }
-    stats[0] = appended;
-    stats[1] = settled;
-    rc = 0;
+    stats[0] = out->len;
+    goto done;
+fail:
+    sief_relabel_free(out);
+    out = NULL;
 done:
     sweep_scratch_free(&s);
     free(dist);
     free(needed);
+    free(slot);
     free(head);
     free(tail);
-    free(chain);
-    free(vcache);
-    free(vstamp);
-    return rc;
+    return out;
+}
+
+int sief_relabel_export(void *handle, int64_t *out_t, int64_t *out_rank,
+                        int64_t *out_dist)
+{
+    relabel_out *out = (relabel_out *)handle;
+    for (int64_t a = 0; a < out->len; a++) {
+        out_t[a] = out->e[a].t;
+        out_rank[a] = out->e[a].rank;
+        out_dist[a] = out->e[a].dist;
+    }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */

@@ -107,13 +107,16 @@ def _bind(lib: ctypes.CDLL) -> None:
         _i64, _p_i64, _p_i32, _i64, _p_i64,
         _i64, _p_i64, _p_u64, ctypes.c_int32, _p_u64, _p_i32,
     ]
-    lib.sief_relabel.restype = ctypes.c_int32
+    lib.sief_relabel.restype = ctypes.c_void_p
     lib.sief_relabel.argtypes = [
         _i64, _p_i64, _p_i32, _i64, _i64,
         _i64, _i64, _p_i64, _p_i64, _i64, _p_i64, _p_i64,
         _p_i64, _p_i32, _p_i32, _p_i64,
-        _i64, _p_i64, _p_i64, _p_i64, _p_i64,
     ]
+    lib.sief_relabel_export.restype = ctypes.c_int32
+    lib.sief_relabel_export.argtypes = [ctypes.c_void_p, _p_i64, _p_i64, _p_i64]
+    lib.sief_relabel_free.restype = None
+    lib.sief_relabel_free.argtypes = [ctypes.c_void_p]
     # The hub join takes raw addresses: BoundHubJoin checks its arrays
     # once instead of ndpointer re-checking them on every call.
     for suffix, acc in (
@@ -231,29 +234,29 @@ def bitparallel(indptr, indices, roots, mask_pos, mask_keep, needed, dist):
 def relabel(
     indptr, indices, avoid0, avoid1,
     roots, root_ranks, live, targets, target_ranks,
-    L_offsets, L_hubs, L_dists, vertex_at,
+    L_offsets, L_hubs, L_dists,
 ):
+    """One direction pass; returns its appended ``(t, rank, dist)``
+    columns, the settlement count and the filter's label-merge count."""
     n = len(indptr) - 1
-    cap = 4 * (len(roots) + len(targets)) + 64
-    stats = np.zeros(2, dtype=np.int64)
-    while True:
-        out_t = np.empty(cap, dtype=np.int64)
-        out_rank = np.empty(cap, dtype=np.int64)
-        out_dist = np.empty(cap, dtype=np.int64)
-        rc = _lib.sief_relabel(
-            n, indptr, indices, avoid0, avoid1,
-            len(roots), live, roots, root_ranks,
-            len(targets), targets, target_ranks,
-            L_offsets, L_hubs, L_dists, vertex_at,
-            cap, out_t, out_rank, out_dist, stats,
-        )
-        if rc == 0:
-            m = int(stats[0])
-            return out_t[:m], out_rank[:m], out_dist[:m], int(stats[1])
-        if rc == -1:
-            cap *= 2
-            continue
-        raise MemoryError("sief_relabel scratch allocation failed")
+    stats = np.zeros(3, dtype=np.int64)
+    handle = _lib.sief_relabel(
+        n, indptr, indices, avoid0, avoid1,
+        len(roots), live, roots, root_ranks,
+        len(targets), targets, target_ranks,
+        L_offsets, L_hubs, L_dists, stats,
+    )
+    if not handle:
+        raise MemoryError("sief_relabel allocation failed")
+    try:
+        m = int(stats[0])
+        out_t = np.empty(m, dtype=np.int64)
+        out_rank = np.empty(m, dtype=np.int64)
+        out_dist = np.empty(m, dtype=np.int64)
+        _lib.sief_relabel_export(handle, out_t, out_rank, out_dist)
+    finally:
+        _lib.sief_relabel_free(handle)
+    return out_t, out_rank, out_dist, int(stats[1]), int(stats[2])
 
 
 _HUB_JOIN_SUFFIX = {

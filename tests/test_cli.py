@@ -309,6 +309,24 @@ def test_error_reported_as_exit_code_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["query", "path"])
+@pytest.mark.parametrize("s, t, bad", [("5", "600", 600), ("-1", "3", -1)])
+def test_out_of_range_vertex_is_a_clean_error(
+    graph_file, tmp_path, capsys, command, s, t, bad
+):
+    path, g = graph_file
+    index_file = tmp_path / "g.sief"
+    main(["build", str(path), "-o", str(index_file)])
+    u, v = next(iter(g.edges()))
+    files = [str(index_file)]
+    if command == "path":
+        files.insert(0, str(path))
+    capsys.readouterr()
+    rc = main([command, *files, "--fail", str(u), str(v), "--pair", s, t])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: vertex {bad} not in graph")
+
+
 def test_removed_bench_subcommand_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "history", "--history", str(tmp_path / "h.jsonl")])

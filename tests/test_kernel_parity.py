@@ -144,21 +144,37 @@ def test_bitparallel_kernel_matches_numpy_sweep():
 # ---------------------------------------------------------------------------
 
 
+def _build_counting_merges(g, tier):
+    with kernels.use_tier(tier), _obs_hooks.installed() as reg:
+        index = build_sief(g, algorithm="batched")
+        return index, reg.counter_value("sief.relabel.label_merges")
+
+
 @pytest.mark.parametrize(
-    "make_graph",
+    "make_graph, big",
     [
-        lambda: generators.erdos_renyi_gnm(60, 150, seed=5),
-        lambda: generators.barabasi_albert(80, 2, seed=6),
-        lambda: generators.watts_strogatz(64, 4, 0.2, seed=7),
+        (lambda: generators.erdos_renyi_gnm(60, 150, seed=5), False),
+        (lambda: generators.barabasi_albert(80, 2, seed=6), False),
+        (lambda: generators.watts_strogatz(64, 4, 0.2, seed=7), False),
+        (lambda: generators.watts_strogatz(160, 4, 0.1, seed=7), True),
     ],
-    ids=["er", "ba", "ws"],
+    ids=["er", "ba", "ws", "ws160"],
 )
-def test_batched_build_bit_identical_across_tiers(make_graph):
+def test_batched_build_bit_identical_across_tiers(make_graph, big):
     g = make_graph()
-    with kernels.use_tier("numpy"):
-        ref = build_sief(g, algorithm="batched")
-    with kernels.use_tier(ACCEL):
-        acc = build_sief(g, algorithm="batched")
+    ref, ref_merges = _build_counting_merges(g, "numpy")
+    acc, acc_merges = _build_counting_merges(g, ACCEL)
+    # Both tiers read the same sweep cells and fall back to the same
+    # label merges.
+    assert acc_merges == ref_merges
+    if big:
+        # Sides above 64 roots (second batches, batches straddling the
+        # live boundary) and hubs the sweep's early exit left unsettled.
+        assert ref_merges > 0
+        assert any(
+            max(len(si.affected.side_u), len(si.affected.side_v)) > 64
+            for si in ref.supplements.values()
+        )
     assert set(acc.supplements) == set(ref.supplements)
     for edge, ref_si in ref.supplements.items():
         acc_si = acc.supplements[edge]
